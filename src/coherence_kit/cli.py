@@ -1,9 +1,9 @@
 """Command-line front end: state ingestion, batch measures, certification,
 entanglement reports, channel verification, random generation, benchmarks.
 
-Exit codes form a stable scripting contract: 0 success, 1 validation failure,
-2 a requested certificate or verification came back negative, 3 internal
-numerical failure.
+Exit codes form a stable scripting contract: 0 success, 1 validation failure
+or an input too large for the memory available, 2 a requested certificate or
+verification came back negative, 3 internal numerical failure.
 """
 
 from __future__ import annotations
@@ -141,12 +141,11 @@ def _measures_for_state(path: str, which: list[str] | None, args) -> dict:
     if isinstance(state, PureState):
         if which is None:
             which = list(MEASURE_CHOICES)
-        density = state.density()
         for name in which:
             if name == "l1":
-                entry["values"]["l1"] = c_l1(density)
+                entry["values"]["l1"] = c_l1(state)
             elif name == "rel-ent":
-                entry["values"]["rel-ent"] = c_rel_entropy(density)
+                entry["values"]["rel-ent"] = c_rel_entropy(state)
             elif name == "robustness":
                 entry["values"]["robustness"] = c_robustness_pure(state)
             elif name == "tr":
@@ -513,6 +512,14 @@ def main(argv=None) -> int:
         report, code = args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(
+            f"error: {args.command}: out of memory{detail}; the input is too large "
+            "for the dense computation this command needs",
+            file=sys.stderr,
+        )
         return EXIT_VALIDATION
     except (InconclusiveCertificateError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

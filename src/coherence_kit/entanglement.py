@@ -26,7 +26,6 @@ from .core import (
     as_density_matrix,
     is_ppt,
 )
-from .measures import c_l1, c_rel_entropy
 from .trace_distance import c_tr_pure, nearest_incoherent
 
 
@@ -354,13 +353,3 @@ def verify_channel_pipeline(sigma, v, tol: float | None = None) -> ChannelPipeli
         offdiag_mass=offdiag_mass,
         fixed_point_distance=fixed_point_distance,
     )
-
-
-def c_l1_schmidt(v) -> float:
-    """l1 coherence of the Schmidt vector; equals twice the negativity."""
-    return c_l1(schmidt_vector(v).density())
-
-
-def c_r_schmidt(v) -> float:
-    """Relative-entropy coherence of the Schmidt vector; equals E_r."""
-    return c_rel_entropy(schmidt_vector(v).density())

@@ -369,3 +369,64 @@ class TestTableFormat:
         # 17 significant digits in table mode
         assert len(lines["c_tr"].replace(".", "").lstrip("0")) >= 16
         assert float(lines["c_tr"]) == pytest.approx(0.96, abs=1e-12)
+
+
+class TestLargePureState:
+    """Pure-state `measures` and `verify` at n = 10^5 form no n x n matrix."""
+
+    def test_measures_and_verify_without_dense_matrix(self, tmp_path, capsys, monkeypatch):
+        from coherence_kit.core import PureState
+        from coherence_kit.trace_distance import nearest_incoherent
+
+        x = random_pure_state(100_000, np.random.default_rng(121))
+        path = write_pure(tmp_path / "x.json", x.amplitudes)
+        optimum = nearest_incoherent(to_state(load_state_file(path))).nearest.diag
+        shifted = optimum.copy()
+        order = np.argsort(shifted)
+        shifted[order[-1]] -= 1e-3
+        shifted[order[-2]] += 1e-3
+        cand = tmp_path / "d.json"
+        write_state_file(cand, "incoherent", optimum)
+        worse = tmp_path / "worse.json"
+        write_state_file(worse, "incoherent", shifted)
+
+        def forbidden(self):
+            raise AssertionError("an n x n matrix was formed")
+
+        monkeypatch.setattr(PureState, "projector", forbidden)
+        monkeypatch.setattr(PureState, "density", forbidden)
+
+        code, report = run_json(["measures", "--input", path], capsys)
+        assert code == 0
+        values = report["states"][0]["values"]
+        assert set(values) == {"l1", "rel-ent", "robustness", "tr"}
+        m = np.abs(x.amplitudes)
+        w = m * m
+        assert values["l1"] == pytest.approx(float(np.sum(m)) ** 2 - 1.0, rel=1e-12)
+        assert values["robustness"] == values["l1"]
+        assert values["rel-ent"] == pytest.approx(float(-(w @ np.log2(w))), abs=1e-9)
+        assert values["tr"]["k"] >= 1
+
+        code, report = run_json(["verify", "--input", path, "--candidate", str(cand)], capsys)
+        assert code == 0
+        assert report["certificate"]["optimal"] is True
+        code, report = run_json(["verify", "--input", path, "--candidate", str(worse)], capsys)
+        assert code == 2
+        assert report["certificate"]["optimal"] is False
+
+
+class TestResourceErrors:
+    def test_memory_error_is_exit_one_with_message(self, tmp_path, capsys, monkeypatch):
+        def exhausted(state):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(cli, "nearest_incoherent", exhausted)
+        path = write_pure(tmp_path / "x.json", [0.8, 0.6])
+        code = cli.main(["nearest", "--input", path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: nearest: out of memory")
+        assert "74.5 GiB" in lines[0]
