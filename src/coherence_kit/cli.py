@@ -38,7 +38,7 @@ from .entanglement import (
 )
 from .io import (
     dump_state_document,
-    file_digest,
+    format_floats,
     load_state_file,
     render_json,
     state_document,
@@ -73,14 +73,6 @@ def thread_cap() -> int:
     return max(1, value)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _floats(values) -> list[float]:
-    return [float(v) for v in values]
-
-
 def _flatten(obj, prefix="", out=None):
     if out is None:
         out = []
@@ -89,14 +81,14 @@ def _flatten(obj, prefix="", out=None):
             _flatten(value, f"{prefix}{key}." if prefix else f"{key}.", out)
     elif isinstance(obj, list):
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
-            out.append((prefix[:-1], "[" + ", ".join(_fmt(v) for v in obj) + "]"))
+            out.append((prefix[:-1], format_floats((len(obj),), tuple(obj))))
         else:
             for i, value in enumerate(obj):
                 _flatten(value, f"{prefix[:-1]}[{i}].", out)
     elif isinstance(obj, bool):
         out.append((prefix[:-1], "true" if obj else "false"))
     elif isinstance(obj, float):
-        out.append((prefix[:-1], _fmt(obj)))
+        out.append((prefix[:-1], format_floats((), obj)))
     else:
         out.append((prefix[:-1], str(obj)))
     return out
@@ -116,17 +108,20 @@ def emit_report(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _report_envelope(command: str, args, inputs: list[str]) -> dict:
+def _report_envelope(command: str, args, inputs: list[tuple[str, str]]) -> dict:
+    """The report head; ``inputs`` pairs each input path with the digest of
+    the bytes that were parsed from it."""
     return {
         "tool": "coherence-kit",
         "version": __version__,
         "command": command,
         "seed": getattr(args, "seed", None),
-        "inputs": [{"path": p, "digest": file_digest(p)} for p in inputs],
+        "inputs": [{"path": p, "digest": digest} for p, digest in inputs],
     }
 
 
-def _measures_for_state(path: str, which: list[str] | None, args) -> dict:
+def _measures_for_state(path: str, which: list[str] | None, args) -> tuple[str, dict]:
+    """The digest of the file parsed from ``path`` and its report entry."""
     sf = load_state_file(path)
     state = to_state(sf)
     entry: dict = {"kind": sf.kind, "dims": list(sf.dims), "values": {}}
@@ -155,7 +150,7 @@ def _measures_for_state(path: str, which: list[str] | None, args) -> dict:
                     "approximate": False,
                     "k": result.k,
                     "q_k": result.q_k,
-                    "nearest": _floats(result.nearest.diag),
+                    "nearest": result.nearest.diag.tolist(),
                     "operator_norm_distance": result.op_dist,
                 }
     else:
@@ -181,25 +176,26 @@ def _measures_for_state(path: str, which: list[str] | None, args) -> dict:
                     "approximate": True,
                     "iterations": oracle.iterations,
                     "converged": oracle.converged,
-                    "nearest": _floats(oracle.argmin.diag),
+                    "nearest": oracle.argmin.diag.tolist(),
                 }
-    return entry
+    return sf.digest, entry
 
 
 def cmd_measures(args) -> tuple[dict, int]:
     which = args.measure
-    report = _report_envelope("measures", args, args.input)
     started = time.perf_counter()
     workers = min(thread_cap(), len(args.input))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(
+            results = list(
                 pool.map(lambda p: _measures_for_state(p, which, args), args.input)
             )
     else:
-        entries = [_measures_for_state(p, which, args) for p in args.input]
+        results = [_measures_for_state(p, which, args) for p in args.input]
+    digests, entries = zip(*results)
+    report = _report_envelope("measures", args, list(zip(args.input, digests)))
     report["requested"] = which if which is not None else "all applicable"
-    report["states"] = entries
+    report["states"] = list(entries)
     report["timings"] = {"wall_s": time.perf_counter() - started}
     return report, EXIT_OK
 
@@ -212,12 +208,12 @@ def cmd_nearest(args) -> tuple[dict, int]:
     started = time.perf_counter()
     result = nearest_incoherent(state)
     elapsed = time.perf_counter() - started
-    report = _report_envelope("nearest", args, [args.input])
+    report = _report_envelope("nearest", args, [(args.input, sf.digest)])
     report.update(
         {
             "k": result.k,
             "q_k": result.q_k,
-            "nearest": _floats(result.nearest.diag),
+            "nearest": result.nearest.diag.tolist(),
             "mu": result.mu,
             "c_tr": result.c_tr,
             "operator_norm_distance": result.op_dist,
@@ -235,7 +231,9 @@ def cmd_verify(args) -> tuple[dict, int]:
             f"{args.candidate}: candidate must be an 'incoherent' document"
         )
     candidate = IncoherentState(cf.data)
-    report = _report_envelope("verify", args, [args.input, args.candidate])
+    report = _report_envelope(
+        "verify", args, [(args.input, sf.digest), (args.candidate, cf.digest)]
+    )
     started = time.perf_counter()
     if sf.kind == "pure":
         certificate = verify_pure_optimality(to_state(sf), candidate, tol=args.tol)
@@ -269,12 +267,12 @@ def cmd_entanglement(args) -> tuple[dict, int]:
     coeff_state = PureState(data.coefficients)
     result = nearest_incoherent(coeff_state)
     bound = check_negativity_bound(state)
-    report = _report_envelope("entanglement", args, [args.input])
+    report = _report_envelope("entanglement", args, [(args.input, sf.digest)])
     report.update(
         {
-            "schmidt_coefficients": _floats(data.coefficients),
+            "schmidt_coefficients": data.coefficients.tolist(),
             "e_tr": result.c_tr,
-            "nearest_schmidt_weights": _floats(result.nearest.diag),
+            "nearest_schmidt_weights": result.nearest.diag.tolist(),
             "negativity": negativity_pure(state),
             "e_r": e_r_pure(state),
             "bound_check": {
@@ -304,7 +302,7 @@ def cmd_channel_verify(args) -> tuple[dict, int]:
                 f"{args.sigma}: sigma has dimension {sigma.dim}, which is not "
                 f"--local-dim {local_dim} squared"
             )
-        inputs.append(args.sigma)
+        inputs.append((args.sigma, sf.digest))
     else:
         sigma = random_real_separable(local_dim, args.terms, rng)
     if args.input:
@@ -312,7 +310,7 @@ def cmd_channel_verify(args) -> tuple[dict, int]:
         if vf.kind != "bipartite-pure":
             raise ValidationError(f"{args.input}: v must be a 'bipartite-pure' document")
         v = to_state(vf)
-        inputs.append(args.input)
+        inputs.append((args.input, vf.digest))
     else:
         v = random_schmidt_state(local_dim, rng)
 
@@ -398,7 +396,7 @@ def cmd_oracle(args) -> tuple[dict, int]:
         raise ValidationError(f"{args.input}: oracle needs a pure or mixed state")
     state = to_state(sf)
     density = state.density() if isinstance(state, PureState) else state
-    report = _report_envelope("oracle", args, [args.input])
+    report = _report_envelope("oracle", args, [(args.input, sf.digest)])
     started = time.perf_counter()
     if args.method == "grid":
         result = c_tr_grid(density, resolution=args.resolution)
@@ -414,7 +412,7 @@ def cmd_oracle(args) -> tuple[dict, int]:
             "method": args.method,
             "approximate": True,
             "value": result.value,
-            "argmin": _floats(result.argmin.diag),
+            "argmin": result.argmin.diag.tolist(),
             "iterations": result.iterations,
             "converged": result.converged,
             "timings": {"wall_s": time.perf_counter() - started},

@@ -2,14 +2,17 @@
 
 Floats are written as decimals with 17 significant digits, enough for every
 double to round-trip exactly, so write-then-read reproduces amplitudes bit
-for bit.
+for bit. Arrays are written and parsed in whole-array numpy passes; a
+document numpy cannot read as one array goes through the per-entry parser,
+which accepts the same documents and names the first bad entry.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +25,16 @@ STATE_KINDS = ("pure", "mixed", "bipartite-pure", "incoherent")
 
 @dataclass(frozen=True, eq=False)
 class StateFile:
-    """Parsed state document: kind, explicit dims, complex data array."""
+    """Parsed state document: kind, explicit dims, complex data array.
+
+    ``digest`` is the sha256 hex digest of the bytes that were parsed, set
+    when the document was read from a file.
+    """
 
     kind: str
     dims: tuple[int, ...]
     data: np.ndarray
+    digest: str | None = None
 
 
 def _parse_complex(entry, where: str) -> complex:
@@ -45,6 +53,29 @@ def _parse_real(entry, where: str) -> float:
     if isinstance(entry, (int, float)):
         return float(entry)
     raise ValidationError(f"{where}: expected a real number, got {entry!r}")
+
+
+def _parse_array(data: list, shape: tuple[int, ...], real: bool) -> np.ndarray | None:
+    """``data`` as one array, or None when numpy does not read it as numbers.
+
+    Plain numbers must have ``shape`` and, unless ``real``, [re, im] pairs
+    ``shape + (2,)``. On None the per-entry parser decides the document, so
+    what numpy reads otherwise (strings, null, bools, ints beyond 64 bits,
+    ragged rows, numbers mixed with pairs) keeps its result or its message.
+    """
+    try:
+        arr = np.array(data)
+    except (ValueError, OverflowError):
+        return None
+    if arr.dtype.kind not in "fi":
+        return None
+    if arr.shape == shape:
+        return arr.astype(float if real else complex)
+    if not real and arr.shape == shape + (2,):
+        # The same bits as complex(re, im): the pairs become the two halves of
+        # each complex entry, with no arithmetic that could touch -0.0 or inf.
+        return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
+    return None
 
 
 def parse_state_document(doc, source: str = "<memory>") -> StateFile:
@@ -68,14 +99,10 @@ def parse_state_document(doc, source: str = "<memory>") -> StateFile:
         n = dims[0]
         if len(data) != n:
             raise ValidationError(f"{source}: 'data' has {len(data)} entries, dims say {n}")
-        if kind == "incoherent":
-            values = np.array(
-                [_parse_real(e, f"{source}: data[{i}]") for i, e in enumerate(data)]
-            )
-        else:
-            values = np.array(
-                [_parse_complex(e, f"{source}: data[{i}]") for i, e in enumerate(data)]
-            )
+        values = _parse_array(data, (n,), real=kind == "incoherent")
+        if values is None:
+            parse = _parse_real if kind == "incoherent" else _parse_complex
+            values = np.array([parse(e, f"{source}: data[{i}]") for i, e in enumerate(data)])
         return StateFile(kind=kind, dims=(n,), data=values)
 
     if kind == "mixed":
@@ -88,55 +115,93 @@ def parse_state_document(doc, source: str = "<memory>") -> StateFile:
         shape = (dims[0], dims[1])
     if len(data) != shape[0]:
         raise ValidationError(f"{source}: 'data' has {len(data)} rows, dims say {shape[0]}")
-    rows = []
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != shape[1]:
-            raise ValidationError(
-                f"{source}: data[{i}] must be a list of {shape[1]} entries"
+    values = _parse_array(data, shape, real=False)
+    if values is None:
+        rows = []
+        for i, row in enumerate(data):
+            if not isinstance(row, list) or len(row) != shape[1]:
+                raise ValidationError(
+                    f"{source}: data[{i}] must be a list of {shape[1]} entries"
+                )
+            rows.append(
+                [_parse_complex(e, f"{source}: data[{i}][{j}]") for j, e in enumerate(row)]
             )
-        rows.append([_parse_complex(e, f"{source}: data[{i}][{j}]") for j, e in enumerate(row)])
-    return StateFile(kind=kind, dims=tuple(dims), data=np.array(rows))
+        values = np.array(rows)
+    return StateFile(kind=kind, dims=tuple(dims), data=values)
+
+
+def _parse_int(literal: str):
+    # Floats are written with "%.17g", which writes -0.0 as "-0"; JSON would
+    # read that back as the integer 0 and lose the sign.
+    return -0.0 if literal == "-0" else int(literal)
 
 
 def load_state_file(path) -> StateFile:
+    """Read, parse and hash a state file; the file is read once."""
     try:
-        text = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(raw.decode("utf-8"), parse_int=_parse_int)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return parse_state_document(doc, source=str(path))
-
-
-def _encode_complex(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+    sf = parse_state_document(doc, source=str(path))
+    return replace(sf, digest=hashlib.sha256(raw).hexdigest())
 
 
 def state_document(kind: str, data: np.ndarray) -> dict:
+    """The document of a state; ``data`` becomes a float array of shape
+    ``dims`` (incoherent) or ``dims + (2,)`` ([re, im] pairs)."""
     arr = np.asarray(data)
-    if kind in ("pure", "incoherent"):
-        dims = [int(arr.shape[0])]
-        if kind == "incoherent":
-            body = [float(v) for v in arr]
-        else:
-            body = [_encode_complex(v) for v in arr]
-    elif kind == "mixed":
-        dims = [int(arr.shape[0])]
-        body = [[_encode_complex(v) for v in row] for row in arr]
-    elif kind == "bipartite-pure":
-        dims = [int(arr.shape[0]), int(arr.shape[1])]
-        body = [[_encode_complex(v) for v in row] for row in arr]
+    if kind == "incoherent":
+        body = arr.astype(float)
+    elif kind in ("pure", "mixed", "bipartite-pure"):
+        body = np.stack([arr.real, arr.imag], -1).astype(float, copy=False)
     else:
         raise ValidationError(f"unknown state kind {kind!r}")
+    dims = list(arr.shape[:2] if kind == "bipartite-pure" else arr.shape[:1])
     return {"kind": kind, "dims": dims, "data": body}
 
 
+def format_floats(shape: tuple[int, ...], values, indent: int = 0, level: int = 0) -> str:
+    """Floats as JSON text at 17 significant digits, in one ``%`` pass.
+
+    ``shape`` () formats the single float ``values``; otherwise ``values`` is
+    the flat tuple of a float array of that shape, laid out as nested lists
+    the way ``render_json`` lays out lists at ``indent`` and ``level``. No
+    check for finiteness is made here.
+    """
+    return _float_template(shape, indent, level) % values
+
+
+def _float_template(shape: tuple[int, ...], indent: int, level: int) -> str:
+    if not shape:
+        return "%.17g"
+    if not shape[0]:
+        return "[]"
+    item = _float_template(shape[1:], indent, level + 1)
+    return _wrap([item] * shape[0], "[", "]", indent, level)
+
+
+def _require_finite(finite: bool) -> None:
+    if not finite:
+        raise ValidationError("reports must contain only finite numbers")
+
+
 def render_json(obj, indent: int = 0, _level: int = 0) -> str:
-    """JSON text with every float rendered at 17 significant digits."""
+    """JSON text with every float rendered at 17 significant digits.
+
+    A float ndarray, or a list of nothing but Python floats, is formatted in
+    one pass; ints, bools and numpy scalars take the element path.
+    """
+    if isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind == "f":
+        _require_finite(bool(np.isfinite(obj).all()))
+        return format_floats(obj.shape, tuple(obj.ravel().tolist()), indent, _level)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -148,6 +213,9 @@ def render_json(obj, indent: int = 0, _level: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
+        if all(type(v) is float for v in obj):
+            _require_finite(all(map(math.isfinite, obj)))
+            return format_floats((len(obj),), tuple(obj), indent, _level)
         items = [render_json(v, indent, _level + 1) for v in obj]
         return _wrap(items, "[", "]", indent, _level)
     if isinstance(obj, bool) or obj is None:
@@ -156,9 +224,8 @@ def render_json(obj, indent: int = 0, _level: int = 0) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         value = float(obj)
-        if not np.isfinite(value):
-            raise ValidationError("reports must contain only finite numbers")
-        return format(value, ".17g")
+        _require_finite(math.isfinite(value))
+        return format_floats((), value)
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -169,7 +236,7 @@ def _wrap(items: list[str], opener: str, closer: str, indent: int, level: int) -
         return opener + ", ".join(items) + closer
     pad = " " * (indent * (level + 1))
     return (
-        opener + "\n" + ",\n".join(pad + item for item in items)
+        opener + "\n" + pad + (",\n" + pad).join(items)
         + "\n" + " " * (indent * level) + closer
     )
 
@@ -194,4 +261,5 @@ def to_state(sf: StateFile):
 
 
 def file_digest(path) -> str:
+    """sha256 hex digest of a file's current bytes."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -54,9 +54,17 @@ def _entropy_bits(weights: np.ndarray) -> float:
 
 
 def _l1_from_moduli(moduli: np.ndarray) -> float:
-    """C_l1 of a pure state from its moduli: (sum_j |x_j|)^2 - sum_j |x_j|^2."""
-    total = float(np.sum(moduli))
-    return total * total - float(moduli @ moduli)
+    """C_l1 of a pure state from its moduli: sum over j != k of |x_j| |x_k|.
+
+    Computed as 2 m r + (r^2 - sum_{j != i} |x_j|^2), with m = |x_i| the
+    largest modulus and r the sum of the others. Every term is at most about
+    m r, so near a basis state nothing cancels, unlike a total minus the
+    diagonal.
+    """
+    i = int(np.argmax(moduli))
+    rest = np.delete(moduli, i)
+    r = float(np.sum(rest))
+    return 2.0 * float(moduli[i]) * r + (r * r - float(rest @ rest))
 
 
 def c_l1(rho) -> float:
@@ -66,8 +74,9 @@ def c_l1(rho) -> float:
     """
     if isinstance(rho, PureState):
         return _l1_from_moduli(rho.moduli())
-    m = as_density_matrix(rho).matrix
-    return float(np.abs(m).sum() - np.abs(np.diag(m)).sum())
+    moduli = np.abs(as_density_matrix(rho).matrix)
+    np.fill_diagonal(moduli, 0.0)
+    return float(moduli.sum())
 
 
 def von_neumann_entropy(rho) -> float:

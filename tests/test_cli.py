@@ -1,12 +1,19 @@
+import hashlib
 import json
+import os
+import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from coherence_kit import cli
+from coherence_kit import io as state_io
+from coherence_kit.core import PureState, ValidationError
 from coherence_kit.io import (
     load_state_file,
     parse_state_document,
+    render_json,
     state_document,
     to_state,
     write_state_file,
@@ -15,7 +22,9 @@ from coherence_kit.random_states import (
     random_bipartite_pure,
     random_mixed_state,
     random_pure_state,
+    random_real_separable,
 )
+from coherence_kit.trace_distance import nearest_incoherent
 
 
 def write_pure(path, amplitudes):
@@ -430,3 +439,236 @@ class TestResourceErrors:
         assert len(lines) == 1
         assert lines[0].startswith("error: nearest: out of memory")
         assert "74.5 GiB" in lines[0]
+
+
+def special_values() -> np.ndarray:
+    """Signed zeros, subnormals, the extremes, values that need all 17
+    digits, and finite doubles drawn from random bit patterns."""
+    fixed = [
+        -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+        -1.7976931348623157e308, 0.1, 1 / 3, 0.30000000000000004, 1.0000000000000002,
+        9007199254740993.0, 123456789.01234567,
+    ]
+    drawn = np.random.default_rng(131).integers(0, 2**64, size=96, dtype=np.uint64).view(float)
+    return np.concatenate([fixed, drawn[np.isfinite(drawn)]])
+
+
+def bits(values) -> np.ndarray:
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def element_body(kind: str, data: np.ndarray) -> list:
+    """A document body of numpy scalars, which ``render_json`` formats one by one."""
+    if kind == "incoherent":
+        return [np.float64(v) for v in data]
+    if data.ndim == 1:
+        return [[np.float64(z.real), np.float64(z.imag)] for z in data]
+    return [element_body(kind, row) for row in data]
+
+
+def complex_values(shape) -> np.ndarray:
+    v = special_values()
+    size = int(np.prod(shape))
+    z = np.empty(size, dtype=complex)
+    z.real = np.resize(v, size)
+    z.imag = np.resize(np.roll(v, 5), size)
+    return z.reshape(shape)
+
+
+class TestVectorizedStateFileIO:
+    @pytest.mark.parametrize(
+        "kind, shape",
+        [("pure", (40,)), ("mixed", (7, 7)), ("bipartite-pure", (3, 11)), ("incoherent", (40,))],
+    )
+    def test_write_then_read_is_bit_exact(self, tmp_path, kind, shape):
+        data = np.resize(special_values(), shape) if kind == "incoherent" else complex_values(shape)
+        path = tmp_path / "s.json"
+        write_state_file(path, kind, data)
+        dims = list(shape) if kind == "bipartite-pure" else [shape[0]]
+        element = render_json({"kind": kind, "dims": dims, "data": element_body(kind, data)})
+        assert path.read_text() == element + "\n"
+        loaded = load_state_file(path)
+        assert loaded.kind == kind and loaded.dims == tuple(dims)
+        assert np.array_equal(bits(loaded.data), bits(data))
+
+    @pytest.mark.parametrize("indent", [0, 2])
+    def test_fast_render_matches_element_render(self, indent):
+        v = special_values()
+        per_element = [np.float64(x) for x in v]
+        expected = render_json(per_element, indent)
+        assert render_json(v.tolist(), indent) == expected
+        assert render_json(v, indent) == expected
+        if not indent:
+            assert expected == "[" + ", ".join(format(float(x), ".17g") for x in v) + "]"
+        cube = v[:24].reshape(2, 3, 4)
+        nested = [[[np.float64(x) for x in row] for row in plane] for plane in cube]
+        assert render_json(cube, indent) == render_json(nested, indent)
+        report = {"a": v.tolist(), "b": {"c": cube, "n": 3}, "d": [], "e": [1.5, 2]}
+        element = {"a": per_element, "b": {"c": nested, "n": 3}, "d": [], "e": [1.5, 2]}
+        assert render_json(report, indent) == render_json(element, indent)
+        assert render_json(np.zeros((2, 0)), indent) == render_json([[], []], indent)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_report_values_raise(self, tmp_path, bad):
+        for obj in ([0.5, bad], np.array([0.5, bad]), [np.float64(bad)], {"x": [[bad, 0.5]]}, bad):
+            with pytest.raises(ValidationError, match="^reports must contain only finite numbers$"):
+                render_json(obj, 2)
+        with pytest.raises(ValidationError, match="^reports must contain only finite numbers$"):
+            write_state_file(tmp_path / "s.json", "pure", np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize(
+        "data",
+        ["[[NaN, 0], [1, 0]]", "[[1, 0], [0, Infinity]]", "[-Infinity, 1]", "[[NaN, 0], 1]"],
+    )
+    def test_non_finite_literals_in_input_files(self, tmp_path, capsys, data):
+        path = tmp_path / "s.json"
+        path.write_text('{"kind": "pure", "dims": [2], "data": %s}' % data)
+        assert cli.main(["nearest", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: pure state amplitudes must contain only finite entries\n"
+        )
+
+    @pytest.mark.parametrize(
+        "kind, dims, data, message",
+        [
+            ("pure", [1], '[["1", 0]]', "data[0]: expected a number or a [re, im] pair, got ['1', 0]"),
+            ("pure", [1], "[[null, 0]]", "data[0]: expected a number or a [re, im] pair, got [None, 0]"),
+            ("pure", [1], "[[1, 2, 3]]", "data[0]: expected a number or a [re, im] pair, got [1, 2, 3]"),
+            ("pure", [1], "[[[1, 0], 0]]", "data[0]: expected a number or a [re, im] pair, got [[1, 0], 0]"),
+            ("pure", [2], "[[1, 0], [1, 0, 0]]", "data[1]: expected a number or a [re, im] pair, got [1, 0, 0]"),
+            ("mixed", [2], "[[1, 0], [0]]", "data[1] must be a list of 2 entries"),
+            ("mixed", [2], "[[1, 0], 5]", "data[1] must be a list of 2 entries"),
+            ("mixed", [2], "[[[1, 0], 0], [0, [1, 0, 0]]]", "data[1][1]: expected a number or a [re, im] pair, got [1, 0, 0]"),
+            ("bipartite-pure", [1, 2], "[[[1, 0], [[0, 0]]]]", "data[0][1]: expected a number or a [re, im] pair, got [[0, 0]]"),
+            ("incoherent", [2], '[1, "0"]', "data[1]: expected a real number, got '0'"),
+            ("incoherent", [2], "[1, [0, 0]]", "data[1]: expected a real number, got [0, 0]"),
+        ],
+    )
+    def test_parse_errors_name_the_entry(self, tmp_path, kind, dims, data, message):
+        path = tmp_path / "bad.json"
+        path.write_text('{"kind": "%s", "dims": %s, "data": %s}' % (kind, dims, data))
+        with pytest.raises(ValidationError) as info:
+            load_state_file(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_numbers_mixed_with_pairs_are_accepted(self):
+        pure = parse_state_document({"kind": "pure", "dims": [4], "data": [0.6, [0, 0.8], 0, True]})
+        assert np.array_equal(bits(pure.data), bits(np.array([0.6, 0.8j, 0, 1], dtype=complex)))
+        mixed = parse_state_document(
+            {"kind": "mixed", "dims": [2], "data": [[0.5, [0, -0.5]], [[0, 0.5], 0.5]]}
+        )
+        expected = np.array([[0.5, complex(0, -0.5)], [0.5j, 0.5]])
+        assert np.array_equal(bits(mixed.data), bits(expected))
+        plain = parse_state_document({"kind": "bipartite-pure", "dims": [2, 2], "data": [[1, 0], [0, 1]]})
+        assert np.array_equal(bits(plain.data), bits(np.eye(2, dtype=complex)))
+
+    def test_state_document_body_is_one_float_array(self):
+        z = complex_values((3, 2))
+        doc = state_document("bipartite-pure", z)
+        assert doc["dims"] == [3, 2]
+        assert doc["data"].dtype == float and doc["data"].shape == (3, 2, 2)
+        assert np.array_equal(bits(doc["data"][..., 0]), bits(z.real))
+        assert np.array_equal(bits(doc["data"][..., 1]), bits(z.imag))
+
+
+class TestInputDigest:
+    """Each input is read once, and its report digest is of the bytes parsed."""
+
+    @pytest.mark.parametrize(
+        "command", ["nearest", "verify", "measures", "entanglement", "oracle", "channel-verify"]
+    )
+    def test_one_read_per_input(self, tmp_path, capsys, monkeypatch, command):
+        x = write_pure(tmp_path / "x.json", [0.8, 0.6])
+        y = write_pure(tmp_path / "y.json", [2 / 3, 2 / 3, 1 / 3])
+        d = tmp_path / "d.json"
+        write_state_file(d, "incoherent", np.array([0.64, 0.36]))
+        v = tmp_path / "v.json"
+        write_state_file(v, "bipartite-pure", np.diag([0.8, 0.6]))
+        sigma = tmp_path / "sigma.json"
+        write_state_file(sigma, "mixed", random_real_separable(2, 4, np.random.default_rng(13)).matrix)
+        argv = {
+            "nearest": ["nearest", "--input", x],
+            "verify": ["verify", "--input", x, "--candidate", str(d)],
+            "measures": ["measures", "--input", x, "--input", y],
+            "entanglement": ["entanglement", "--input", str(v)],
+            "oracle": ["oracle", "--input", x, "--max-iters", "50"],
+            "channel-verify": [
+                "channel-verify", "--sigma", str(sigma), "--input", str(v), "--local-dim", "2",
+            ],
+        }[command]
+        inputs = [a for flag, a in zip(argv, argv[1:]) if flag in ("--input", "--candidate", "--sigma")]
+        parsed = {p: pathlib.Path(p).read_bytes() for p in inputs}
+        opened = Counter()
+        real_open = pathlib.Path.open
+
+        def open_then_replace(self, *args, **kwargs):
+            handle = real_open(self, *args, **kwargs)
+            if str(self) in parsed:
+                opened[str(self)] += 1
+                # Swap the file on disk once it is open: a second read sees other bytes.
+                swap = tmp_path / "swap"
+                with real_open(swap, "w") as fh:
+                    fh.write('{"kind": "pure", "dims": [1], "data": [1]}\n')
+                os.replace(swap, self)
+            return handle
+
+        monkeypatch.setenv("COHERENCE_KIT_THREADS", "1")
+        monkeypatch.setattr(pathlib.Path, "open", open_then_replace)
+        code, report = run_json(argv, capsys)
+        assert code in (0, 2)
+        assert opened == Counter(inputs)
+        assert report["inputs"] == [
+            {"path": p, "digest": hashlib.sha256(parsed[p]).hexdigest()} for p in inputs
+        ]
+
+    def test_load_keeps_digest_of_parsed_bytes(self, tmp_path):
+        path = write_pure(tmp_path / "x.json", [0.8, 0.6])
+        assert load_state_file(path).digest == state_io.file_digest(path)
+        assert parse_state_document(json.loads(pathlib.Path(path).read_text())).digest is None
+
+    def test_missing_input_among_several_is_exit_one(self, tmp_path, capsys):
+        x = write_pure(tmp_path / "x.json", [0.8, 0.6])
+        code = cli.main(["measures", "--input", x, "--input", str(tmp_path / "nope.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'nope.json'}: ")
+
+
+class TestLargeStateFiles:
+    """`random`, `nearest` and `verify` at n = 10^5 take no per-entry encode or parse."""
+
+    def test_round_trip_without_per_entry_paths(self, tmp_path, capsys, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a per-entry path ran")
+
+        monkeypatch.setattr(state_io, "_parse_complex", forbidden)
+        monkeypatch.setattr(state_io, "_parse_real", forbidden)
+        monkeypatch.setattr(state_io, "_encode_complex", forbidden, raising=False)
+        path = tmp_path / "x.json"
+        argv = ["random", "--kind", "pure", "--n", "100000", "--seed", "123", "--output", str(path)]
+        assert cli.main(argv) == 0
+        code, report = run_json(["nearest", "--input", str(path)], capsys)
+        assert code == 0
+        # The state as a file holds it: its amplitudes, validated again on load.
+        x = random_pure_state(100_000, np.random.default_rng(123))
+        expected = nearest_incoherent(PureState(x.amplitudes))
+        assert report["k"] == expected.k
+        assert report["c_tr"] == expected.c_tr
+        assert np.array_equal(report["nearest"], expected.nearest.diag)
+        cand = tmp_path / "d.json"
+        write_state_file(cand, "incoherent", np.array(report["nearest"]))
+        code, report = run_json(["verify", "--input", str(path), "--candidate", str(cand)], capsys)
+        assert code == 0
+        assert report["certificate"]["optimal"] is True
+
+    def test_large_table_matches_per_element_format(self, tmp_path, capsys):
+        x = random_pure_state(10_000, np.random.default_rng(141))
+        path = write_pure(tmp_path / "x.json", x.amplitudes)
+        code, out = run_cli(["nearest", "--input", path, "--format", "table"], capsys)
+        assert code == 0
+        result = nearest_incoherent(to_state(load_state_file(path)))
+        lines = dict(line.split(" = ", 1) for line in out.splitlines())
+        per_element = ", ".join(format(float(v), ".17g") for v in result.nearest.diag)
+        assert lines["nearest"] == "[" + per_element + "]"
+        assert lines["c_tr"] == format(result.c_tr, ".17g")
+        assert lines["mu"] == format(result.mu, ".17g")
+        assert lines["k"] == str(result.k)

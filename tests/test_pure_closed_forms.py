@@ -184,6 +184,15 @@ def test_degenerate_qubit_both_inconclusive():
         dense_certificate(x, d)
 
 
+@pytest.mark.parametrize("eps", [1e-11, 1e-8, 1e-150])
+def test_l1_near_basis_state_keeps_relative_accuracy(eps):
+    # A total minus the diagonal cancels here: 8e-8 relative error at 1e-11.
+    x = PureState([np.sqrt(1 - eps * eps), eps])
+    exact = 2 * eps * np.sqrt(1 - eps * eps)
+    for value in (c_l1(x), c_l1(x.density()), c_robustness_pure(x)):
+        assert abs(value - exact) <= REL * exact
+
+
 def test_inequality_check_forms_no_dense_matrix(monkeypatch):
     def forbidden(self):
         raise AssertionError("an n x n matrix was formed")
