@@ -31,6 +31,23 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} must contain only finite entries")
 
 
+def _probability_vector(p, what: str) -> np.ndarray:
+    """``p`` as a finite non-negative 1-D vector summing to one within the
+    construction tolerance; entries in (-tol, 0) are clipped to zero."""
+    tol = DEFAULT_TOLERANCES.construction
+    vec = np.atleast_1d(np.asarray(p, dtype=float))
+    if vec.ndim != 1 or vec.size == 0:
+        raise ValidationError(f"{what} must be a non-empty 1-D vector")
+    _require_finite(vec, what)
+    if float(vec.min()) < -tol:
+        raise ValidationError(f"{what} has negative entry {float(vec.min()):.3e}")
+    vec = np.maximum(vec, 0.0)
+    total = float(np.sum(vec))
+    if abs(total - 1.0) > tol:
+        raise ValidationError(f"{what} sums to {total:.17g}, expected 1")
+    return vec
+
+
 def _require_hermitian(matrix: np.ndarray, tol: float, what: str) -> None:
     gap = np.abs(matrix - matrix.conj().T)
     worst = float(gap.max()) if gap.size else 0.0
@@ -134,20 +151,8 @@ class IncoherentState:
     diag: np.ndarray
 
     def __post_init__(self):
-        tols = DEFAULT_TOLERANCES
-        d = np.atleast_1d(np.asarray(self.diag, dtype=float))
-        if d.ndim != 1 or d.size == 0:
-            raise ValidationError("incoherent state must be a non-empty 1-D vector")
-        _require_finite(d, "incoherent state diagonal")
-        if float(d.min()) < -tols.construction:
-            raise ValidationError(
-                f"incoherent state has negative entry {float(d.min()):.3e}"
-            )
-        d = np.maximum(d, 0.0)
-        total = float(np.sum(d))
-        if abs(total - 1.0) > tols.construction:
-            raise ValidationError(f"incoherent state sums to {total:.17g}, expected 1")
-        d = d / total
+        d = _probability_vector(self.diag, "incoherent state")
+        d = d / float(np.sum(d))
         for _ in range(2):
             residual = float(np.sum(d)) - 1.0
             if residual == 0.0:
@@ -175,10 +180,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
 
 def as_pure_state(x) -> PureState:
@@ -214,36 +215,44 @@ def hermitian_eig(matrix, tol: float | None = None) -> SpectralDecomposition:
     ValidationError
         If the matrix is not Hermitian; the message names the worst entry pair.
     """
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.spectral
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError("eigendecomposition requires a square matrix")
-    _require_finite(m, "matrix")
-    _require_hermitian(m, tol, "matrix")
-    w, v = np.linalg.eigh(m)
+    w, v = np.linalg.eigh(_checked_hermitian(matrix, tol, "eigendecomposition"))
     return SpectralDecomposition(w[::-1].copy(), v[:, ::-1].copy())
 
 
-def _checked_eigvalsh(matrix, tol: float | None) -> np.ndarray:
+def _checked_hermitian(matrix, tol: float | None, purpose: str) -> np.ndarray:
+    """``matrix`` as a complex array, square, finite and Hermitian within
+    ``tol`` (the spectral tolerance by default)."""
     if tol is None:
         tol = DEFAULT_TOLERANCES.spectral
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError("norm computation requires a square matrix")
+        raise ValidationError(f"{purpose} requires a square matrix")
     _require_finite(m, "matrix")
     _require_hermitian(m, tol, "matrix")
-    return np.linalg.eigvalsh(m)
+    return m
 
 
 def trace_norm(matrix, tol: float | None = None) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.abs(_checked_eigvalsh(matrix, tol)).sum())
+    w = np.linalg.eigvalsh(_checked_hermitian(matrix, tol, "norm computation"))
+    return float(np.abs(w).sum())
 
 
 def operator_norm(matrix, tol: float | None = None) -> float:
     """Largest absolute eigenvalue of a Hermitian matrix."""
-    return float(np.abs(_checked_eigvalsh(matrix, tol)).max())
+    w = np.linalg.eigvalsh(_checked_hermitian(matrix, tol, "norm computation"))
+    return float(np.abs(w).max())
+
+
+def _require_bipartite_square(matrix, local_dim: int, what: str) -> np.ndarray:
+    """``matrix`` as a complex array that acts on a d (x) d space, d = ``local_dim``."""
+    m = np.asarray(matrix, dtype=complex)
+    d = int(local_dim)
+    if d < 1 or m.shape != (d * d, d * d):
+        raise DimensionMismatchError(
+            f"{what} of shape {m.shape} does not act on a {d}(x){d} space"
+        )
+    return m
 
 
 def partial_transpose(matrix, local_dim: int) -> np.ndarray:
@@ -252,12 +261,8 @@ def partial_transpose(matrix, local_dim: int) -> np.ndarray:
     The local dimension is explicit metadata: entry ((i,j),(k,l)) of the output
     equals entry ((i,l),(k,j)) of the input.
     """
-    m = np.asarray(matrix, dtype=complex)
+    m = _require_bipartite_square(matrix, local_dim, "matrix")
     d = int(local_dim)
-    if d < 1 or m.shape != (d * d, d * d):
-        raise DimensionMismatchError(
-            f"matrix of shape {m.shape} does not act on a {d}(x){d} space"
-        )
     return m.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
 
 

@@ -22,6 +22,7 @@ from .core import (
     DimensionMismatchError,
     PureState,
     ValidationError,
+    _require_bipartite_square,
     _require_finite,
     as_density_matrix,
     is_ppt,
@@ -81,29 +82,6 @@ class SchmidtData:
 
     def reconstruct(self) -> np.ndarray:
         return (self.left * self.coefficients) @ self.right.T
-
-
-@dataclass(frozen=True, eq=False)
-class MaxCorrelatedState:
-    """State supported on |ii><jj| terms, stored by its n x n core matrix."""
-
-    core: np.ndarray
-
-    def __post_init__(self):
-        validated = DensityMatrix(self.core)
-        object.__setattr__(self, "core", validated.matrix)
-
-    @property
-    def local_dim(self) -> int:
-        return self.core.shape[0]
-
-    def embed(self) -> np.ndarray:
-        """The n^2 x n^2 matrix sum_ij core[i,j] |ii><jj|."""
-        n = self.local_dim
-        out = np.zeros((n * n, n * n), dtype=complex)
-        corr = np.arange(n) * n + np.arange(n)
-        out[np.ix_(corr, corr)] = self.core
-        return out
 
 
 @dataclass(frozen=True)
@@ -194,16 +172,6 @@ def check_negativity_bound(v) -> NegativityBoundCheck:
     )
 
 
-def _require_square_bipartite(matrix, local_dim: int, what: str) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
-    d = int(local_dim)
-    if d < 1 or m.shape != (d * d, d * d):
-        raise DimensionMismatchError(
-            f"{what} of shape {m.shape} does not act on a {d}(x){d} space"
-        )
-    return m
-
-
 def diagonal_twirl(rho, local_dim: int) -> np.ndarray:
     """Average over conjugations by U (x) conj(U) with diagonal unitary U.
 
@@ -211,7 +179,7 @@ def diagonal_twirl(rho, local_dim: int) -> np.ndarray:
     the off-diagonal entries coupling |ii> with |jj>, and zeroes the rest.
     Trace-preserving, Hermiticity-preserving, idempotent, PPT-preserving.
     """
-    m = _require_square_bipartite(rho, local_dim, "state")
+    m = _require_bipartite_square(rho, local_dim, "state")
     n = int(local_dim)
     out = np.zeros_like(m)
     diag = np.arange(n * n)
@@ -239,7 +207,7 @@ def omega_kraus_operators(sigma, local_dim: int, tol: float | None = None) -> li
     """
     if tol is None:
         tol = DEFAULT_TOLERANCES.channel
-    m = _require_square_bipartite(sigma, local_dim, "channel source state")
+    m = _require_bipartite_square(sigma, local_dim, "channel source state")
     n = int(local_dim)
     imag_max = float(np.abs(m.imag).max())
     if imag_max > tol:
@@ -298,12 +266,6 @@ def apply_kraus(operators: list[np.ndarray], matrix) -> np.ndarray:
     for op in operators:
         out += op @ m @ op.conj().T
     return out
-
-
-def omega_channel(sigma, rho, local_dim: int, tol: float | None = None) -> np.ndarray:
-    """Apply the incoherence-forcing channel built from ``sigma`` to ``rho``."""
-    operators = omega_kraus_operators(sigma, local_dim, tol)
-    return apply_kraus(operators, _require_square_bipartite(rho, local_dim, "input"))
 
 
 def _schmidt_form_coefficients(v: BipartitePureState, tol: float) -> np.ndarray:

@@ -10,6 +10,7 @@ which accepts the same documents and names the first bad entry.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -37,21 +38,29 @@ class StateFile:
     digest: str | None = None
 
 
+def _is_number(value) -> bool:
+    # bool is an int subclass, but JSON true and false are not numbers.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _to_float(value, where: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{where}: integer too large for a double") from None
+
+
 def _parse_complex(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if (
-        isinstance(entry, list)
-        and len(entry) == 2
-        and all(isinstance(part, (int, float)) for part in entry)
-    ):
-        return complex(entry[0], entry[1])
+    if _is_number(entry):
+        return complex(_to_float(entry, where))
+    if isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
+        return complex(_to_float(entry[0], where), _to_float(entry[1], where))
     raise ValidationError(f"{where}: expected a number or a [re, im] pair, got {entry!r}")
 
 
 def _parse_real(entry, where: str) -> float:
-    if isinstance(entry, (int, float)):
-        return float(entry)
+    if _is_number(entry):
+        return _to_float(entry, where)
     raise ValidationError(f"{where}: expected a real number, got {entry!r}")
 
 
@@ -62,12 +71,19 @@ def _parse_array(data: list, shape: tuple[int, ...], real: bool) -> np.ndarray |
     ``shape + (2,)``. On None the per-entry parser decides the document, so
     what numpy reads otherwise (strings, null, bools, ints beyond 64 bits,
     ragged rows, numbers mixed with pairs) keeps its result or its message.
+    numpy reads a bool among numbers as 1 or 0, so the entries' types are
+    scanned once for bools.
     """
     try:
         arr = np.array(data)
     except (ValueError, OverflowError):
         return None
     if arr.dtype.kind not in "fi":
+        return None
+    entries = data
+    for _ in range(arr.ndim - 1):
+        entries = itertools.chain.from_iterable(entries)
+    if bool in set(map(type, entries)):
         return None
     if arr.shape == shape:
         return arr.astype(float if real else complex)
@@ -87,7 +103,7 @@ def parse_state_document(doc, source: str = "<memory>") -> StateFile:
             f"{source}: field 'kind' must be one of {STATE_KINDS}, got {kind!r}"
         )
     dims = doc.get("dims")
-    if not isinstance(dims, list) or not all(isinstance(d, int) and d >= 1 for d in dims):
+    if not isinstance(dims, list) or not all(type(d) is int and d >= 1 for d in dims):
         raise ValidationError(f"{source}: field 'dims' must be a list of positive integers")
     data = doc.get("data")
     if not isinstance(data, list) or not data:

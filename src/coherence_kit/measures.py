@@ -19,7 +19,7 @@ from .config import DEFAULT_TOLERANCES
 from .core import (
     NumericalDriftWarning,
     PureState,
-    ValidationError,
+    _probability_vector,
     as_density_matrix,
     as_pure_state,
 )
@@ -35,17 +35,7 @@ class L1RelEntCheck:
 
 def as_probability_vector(p) -> np.ndarray:
     """Validate a non-negative vector summing to one; clips entries in (-tol, 0)."""
-    tols = DEFAULT_TOLERANCES
-    vec = np.atleast_1d(np.asarray(p, dtype=float))
-    if vec.ndim != 1 or vec.size == 0 or not np.all(np.isfinite(vec)):
-        raise ValidationError("probability vector must be a finite 1-D vector")
-    if float(vec.min()) < -tols.construction:
-        raise ValidationError(f"probability vector has negative entry {float(vec.min()):.3e}")
-    vec = np.maximum(vec, 0.0)
-    total = float(np.sum(vec))
-    if abs(total - 1.0) > tols.construction:
-        raise ValidationError(f"probability vector sums to {total:.17g}, expected 1")
-    return vec
+    return _probability_vector(p, "probability vector")
 
 
 def _entropy_bits(weights: np.ndarray) -> float:

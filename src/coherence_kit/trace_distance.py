@@ -108,6 +108,20 @@ def canonicalize(x) -> CanonicalForm:
     return CanonicalForm(moduli=moduli[order], permutation=order, phases=phases)
 
 
+def _sorted_unit_moduli(moduli) -> np.ndarray:
+    """``moduli`` as a non-empty descending non-negative vector of unit l2 norm."""
+    x = np.atleast_1d(np.asarray(moduli, dtype=float))
+    if x.ndim != 1 or x.size == 0:
+        raise ValidationError("moduli must form a non-empty 1-D vector")
+    if float(x[-1]) < 0.0:
+        raise ValidationError("moduli must be non-negative")
+    if np.any(np.diff(x) > 0.0):
+        raise ValidationError("moduli must be sorted in descending order")
+    if abs(float(x @ x) - 1.0) > 1e-9:
+        raise ValidationError("moduli must have unit l2 norm")
+    return x
+
+
 def prefix_stats(moduli) -> PrefixStats:
     """Prefix statistics (s, m, p, q) of a descending non-negative unit vector.
 
@@ -115,18 +129,10 @@ def prefix_stats(moduli) -> PrefixStats:
     p_l: the textbook quotient when p_l >= 0 and the conjugate form
     2 m_l s_l / (sqrt(p_l^2 + 4 l m_l s_l^2) - p_l) when p_l < 0.
     """
-    x = np.atleast_1d(np.asarray(moduli, dtype=float))
-    if x.ndim != 1 or x.size == 0:
-        raise ValidationError("moduli must form a non-empty 1-D vector")
-    n = x.size
-    if float(x[-1]) < 0.0:
-        raise ValidationError("moduli must be non-negative")
-    if n > 1 and np.any(np.diff(x) > 0.0):
-        raise ValidationError("moduli must be sorted in descending order")
-    if abs(float(x @ x) - 1.0) > 1e-9:
-        raise ValidationError("moduli must have unit l2 norm")
+    x = _sorted_unit_moduli(moduli)
     if float(x[0]) <= 0.0:
         raise ValidationError("moduli must have at least one positive entry")
+    n = x.size
 
     s = np.cumsum(x)
     sq = x * x
@@ -230,13 +236,9 @@ def breakpoint_shortcuts(moduli) -> ShortcutFlags:
     full_rank: the nearest incoherent state has full support, which happens
                if and only if 1 > s_n (s_n - n x_n).
     """
-    x = np.atleast_1d(np.asarray(moduli, dtype=float))
+    x = _sorted_unit_moduli(moduli)
     if x.size < 2:
         raise ValidationError("shortcut tests need dimension >= 2")
-    if np.any(np.diff(x) > 0.0) or float(x[-1]) < 0.0:
-        raise ValidationError("moduli must be sorted descending and non-negative")
-    if abs(float(x @ x) - 1.0) > 1e-9:
-        raise ValidationError("moduli must have unit l2 norm")
     m1 = float(x[1:] @ x[1:])
     m2 = float(x[2:] @ x[2:])
     s_n = float(np.sum(x))

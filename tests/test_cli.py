@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -552,7 +554,7 @@ class TestVectorizedStateFileIO:
         assert str(info.value) == f"{path}: {message}"
 
     def test_numbers_mixed_with_pairs_are_accepted(self):
-        pure = parse_state_document({"kind": "pure", "dims": [4], "data": [0.6, [0, 0.8], 0, True]})
+        pure = parse_state_document({"kind": "pure", "dims": [4], "data": [0.6, [0, 0.8], 0, 1]})
         assert np.array_equal(bits(pure.data), bits(np.array([0.6, 0.8j, 0, 1], dtype=complex)))
         mixed = parse_state_document(
             {"kind": "mixed", "dims": [2], "data": [[0.5, [0, -0.5]], [[0, 0.5], 0.5]]}
@@ -612,7 +614,6 @@ class TestInputDigest:
                 os.replace(swap, self)
             return handle
 
-        monkeypatch.setenv("COHERENCE_KIT_THREADS", "1")
         monkeypatch.setattr(pathlib.Path, "open", open_then_replace)
         code, report = run_json(argv, capsys)
         assert code in (0, 2)
@@ -672,3 +673,142 @@ class TestLargeStateFiles:
         assert lines["c_tr"] == format(result.c_tr, ".17g")
         assert lines["mu"] == format(result.mu, ".17g")
         assert lines["k"] == str(result.k)
+
+
+BIG = "1" + "0" * 400  # an integer literal beyond the largest double
+
+
+class TestNonNumbersInStateFiles:
+    """JSON true/false and integers too large for a double are validation errors
+    that name the entry, on the numpy path and on the per-entry path."""
+
+    @pytest.mark.parametrize(
+        "kind, dims, data, where",
+        [
+            ("pure", "[2]", "[true, 0]", "data[0]: "),
+            ("pure", "[2]", "[[0.8, 0], [0.6, false]]", "data[1]: "),
+            ("mixed", "[2]", "[[true, 0], [0, 0]]", "data[0][0]: "),
+            ("incoherent", "[2]", "[true, 0]", "data[0]: "),
+            ("incoherent", "[2]", "[true, false]", "data[0]: "),
+            ("pure", "[true]", "[1]", "field 'dims' must be a list of positive integers"),
+            ("pure", "[2]", "[BIG, 0]", "data[0]: "),
+            ("pure", "[2]", "[[0, BIG], [1, 0]]", "data[0]: "),
+            ("mixed", "[2]", "[[1, 0], [0, -BIG]]", "data[1][1]: "),
+            ("incoherent", "[2]", "[0, BIG]", "data[1]: "),
+        ],
+    )
+    def test_exit_one_naming_the_entry(self, tmp_path, capsys, kind, dims, data, where):
+        path = tmp_path / "s.json"
+        data = data.replace("BIG", BIG)
+        path.write_text('{"kind": "%s", "dims": %s, "data": %s}' % (kind, dims, data))
+        x = write_pure(tmp_path / "x.json", [0.8, 0.6])
+        argv = {
+            "pure": ["nearest", "--input", str(path)],
+            "mixed": ["measures", "--input", str(path), "--measure", "l1"],
+            "incoherent": ["verify", "--input", x, "--candidate", str(path)],
+        }[kind]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {where}")
+
+
+class TestLoader:
+    """Each command and option that reads a file checks its kind before building a state."""
+
+    @pytest.mark.parametrize(
+        "role, accepted, found",
+        [
+            ("measures", "'pure' or 'mixed'", "incoherent"),
+            ("nearest", "'pure'", "mixed"),
+            ("verify --input", "'pure' or 'mixed'", "incoherent"),
+            ("verify --candidate", "'incoherent'", "pure"),
+            ("entanglement", "'bipartite-pure'", "pure"),
+            ("channel-verify --sigma", "'mixed'", "pure"),
+            ("channel-verify --input", "'bipartite-pure'", "mixed"),
+            ("oracle", "'pure' or 'mixed'", "incoherent"),
+        ],
+    )
+    def test_wrong_kind_names_path_kinds_and_found(self, tmp_path, capsys, role, accepted, found):
+        docs = {
+            "pure": ("pure", np.array([0.8, 0.6], dtype=complex)),
+            "mixed": ("mixed", np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)),
+            "incoherent": ("incoherent", np.array([0.64, 0.36])),
+        }
+        wrong = tmp_path / "wrong.json"
+        write_state_file(wrong, *docs[found])
+        x = write_pure(tmp_path / "x.json", [0.8, 0.6])
+        d = tmp_path / "d.json"
+        write_state_file(d, *docs["incoherent"])
+        command, _, option = role.partition(" ")
+        argv = [command, option or "--input", str(wrong)]
+        if role == "verify --input":
+            argv += ["--candidate", str(d)]
+        elif role == "verify --candidate":
+            argv += ["--input", x]
+        elif command == "channel-verify":
+            argv += ["--local-dim", "2"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {wrong}: {role} takes kind {accepted}, got '{found}'\n"
+
+    def test_measures_rejects_bipartite_before_building_it(self, tmp_path, capsys, monkeypatch):
+        from coherence_kit.entanglement import BipartitePureState
+
+        path = tmp_path / "v.json"
+        write_state_file(path, "bipartite-pure", np.eye(2) / np.sqrt(2))
+
+        def built(self):
+            raise AssertionError("a bipartite state was built")
+
+        monkeypatch.setattr(BipartitePureState, "__post_init__", built)
+        assert cli.main(["measures", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: measures takes kind 'pure' or 'mixed', got 'bipartite-pure'; "
+            "use the 'entanglement' command for bipartite input\n"
+        )
+
+
+def run_process(argv):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "coherence_kit.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestUsageErrors:
+    """Usage errors exit 1 (2 means a negative certificate), with usage text and no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["nearest"], "the following arguments are required: --input"),
+            (["nearest", "--input", "x.json", "--bogus"], "unrecognized arguments: --bogus"),
+            (["measures", "--input", "x.json", "--seed", "1"], "unrecognized arguments: --seed 1"),
+            (["random", "--n", "-1"], "argument --n: expected a positive integer, got '-1'"),
+            (
+                ["random", "--kind", "bipartite-pure", "--n", "2", "--m", "-1"],
+                "argument --m: expected a positive integer, got '-1'",
+            ),
+            (["random", "--n", "2", "--count", "0"], "argument --count: expected a positive integer"),
+            (["bench", "--sizes", "abc"], "argument --sizes: expected a positive integer, got 'abc'"),
+            (["bench", "--sizes", "-5"], "argument --sizes: expected a positive integer, got '-5'"),
+            (["bench", "--sizes", "8,0"], "argument --sizes: expected a positive integer, got '0'"),
+            (["bench", "--repetitions", "0"], "argument --repetitions: expected a positive integer"),
+            (["channel-verify", "--local-dim", "0"], "argument --local-dim: expected a positive integer"),
+            (["channel-verify", "--terms", "x"], "argument --terms: expected a positive integer"),
+        ],
+    )
+    def test_exit_one_without_traceback(self, argv, message):
+        result = run_process(argv)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage: coherence-kit")
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["bench", "--help"]])
+    def test_help_and_version_exit_zero(self, argv):
+        result = run_process(argv)
+        assert result.returncode == 0
+        assert result.stdout and result.stderr == ""

@@ -3,7 +3,6 @@ import pytest
 
 from coherence_kit import (
     BipartitePureState,
-    MaxCorrelatedState,
     PureState,
     ValidationError,
     achieving_separable_state,
@@ -18,7 +17,6 @@ from coherence_kit import (
     is_ppt,
     max_coherence_bound,
     negativity_pure,
-    omega_channel,
     omega_kraus_operators,
     partial_transpose,
     schmidt,
@@ -259,7 +257,7 @@ class TestOmegaChannel:
             sigma = random_real_separable(n, 4, rng)
             v = random_schmidt_state(n, rng)
             lam = np.real(np.diag(v.amplitudes))
-            out = omega_channel(sigma, v.projector(), n)
+            out = apply_kraus(omega_kraus_operators(sigma, n), v.projector())
             assert np.abs(out - np.outer(lam, lam)).max() <= 1e-12
 
     def test_twirled_source_becomes_diagonal(self):
@@ -267,7 +265,7 @@ class TestOmegaChannel:
         for _ in range(20):
             n = int(rng.integers(2, 5))
             sigma = random_real_separable(n, 4, rng).matrix
-            out = omega_channel(sigma, diagonal_twirl(sigma, n), n)
+            out = apply_kraus(omega_kraus_operators(sigma, n), diagonal_twirl(sigma, n))
             off = np.abs(out).sum() - np.abs(np.diag(out)).sum()
             assert off <= 1e-12
             assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
@@ -349,26 +347,26 @@ class TestVerifyChannelPipeline:
             assert c_tr_pure(PureState(lam)) <= contracted + 1e-10
 
 
-class TestMaxCorrelated:
-    def test_embedding_shape(self):
-        core = np.outer(QUTRIT_COEFFS, QUTRIT_COEFFS)
-        state = MaxCorrelatedState(core)
-        emb = state.embed()
-        assert emb.shape == (9, 9)
-        assert np.trace(emb).real == pytest.approx(1.0, abs=1e-12)
-        # The embedding is the projector onto the correlated pure state.
-        assert np.abs(emb - QUTRIT_STATE.projector()).max() <= 1e-12
+def max_correlated(core):
+    """The n^2 x n^2 matrix sum_ij core[i,j] |ii><jj|."""
+    n = core.shape[0]
+    out = np.zeros((n * n, n * n), dtype=complex)
+    corr = np.arange(n) * (n + 1)
+    out[np.ix_(corr, corr)] = core
+    return out
 
+
+class TestMaxCorrelated:
     def test_diagonal_core_is_admissible_channel_source(self):
         core = np.diag([0.5, 0.25, 0.25])
-        sigma = MaxCorrelatedState(core).embed()
+        sigma = max_correlated(core)
         v = random_schmidt_state(3, np.random.default_rng(90))
         check = verify_channel_pipeline(sigma, v)
         assert check.incoherent_ok and check.fixed_point_ok
 
     def test_entangled_core_rejected_by_ppt_gate(self):
         core = np.outer(QUTRIT_COEFFS, QUTRIT_COEFFS)
-        sigma = MaxCorrelatedState(core).embed()
+        sigma = max_correlated(core)
         with pytest.raises(ValidationError, match="partial transpose"):
             omega_kraus_operators(sigma, 3)
 
