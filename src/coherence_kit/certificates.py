@@ -59,14 +59,6 @@ class NonInvertibleDifferenceError(ValidationError):
     """A - D is singular; that case needs a semidefinite feasibility search."""
 
 
-@dataclass(frozen=True, eq=False)
-class ExtremePerturbation:
-    """One extreme feasible perturbation: f_j = d_j except f_i = d_i - 1."""
-
-    index: int
-    values: np.ndarray
-
-
 @dataclass(frozen=True)
 class PureCertificate:
     optimal: bool
@@ -77,17 +69,6 @@ class PureCertificate:
 class MixedCertificate:
     certified: bool
     margin: float
-
-
-def extreme_points(delta) -> list[ExtremePerturbation]:
-    """The n extreme feasible perturbations of a diagonal state, one per index."""
-    d = as_incoherent_state(delta).diag
-    points = []
-    for i in range(d.size):
-        values = d.copy()
-        values[i] -= 1.0
-        points.append(ExtremePerturbation(index=i, values=values))
-    return points
 
 
 def _coherent_moduli_or_raise(state) -> np.ndarray:

@@ -103,8 +103,11 @@ def _flatten(obj, prefix="", out=None):
 
 def _write(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"{output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -215,15 +218,15 @@ def cmd_entanglement(args) -> tuple[list, dict | None, int]:
     sf, state = _load(args.input, "entanglement", "bipartite-pure")
     started = time.perf_counter()
     data = schmidt(state)
-    result = nearest_incoherent(PureState(data.coefficients))
-    bound = check_negativity_bound(state)
+    lam = PureState(data.coefficients)
+    result = nearest_incoherent(lam)
     body = {
         "schmidt_coefficients": data.coefficients.tolist(),
         "e_tr": result.c_tr,
         "nearest_schmidt_weights": result.nearest.diag.tolist(),
-        "negativity": negativity_pure(state),
-        "e_r": e_r_pure(state),
-        "bound_check": asdict(bound),
+        "negativity": negativity_pure(lam),
+        "e_r": e_r_pure(lam),
+        "bound_check": asdict(check_negativity_bound(lam)),
         "timings": _wall(started),
     }
     return [(args.input, sf.digest)], body, EXIT_OK
@@ -336,6 +339,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
+    return value
+
+
 def _sizes(text: str) -> list[int]:
     return [_positive_int(size) for size in text.split(",") if size]
 
@@ -365,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify", cmd_verify, "certify a nearest-incoherent candidate")
     p.add_argument("--input", required=True)
     p.add_argument("--candidate", required=True, help="incoherent state document")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
 
     p = command("entanglement", cmd_entanglement, "entanglement measures of a bipartite pure state")
     p.add_argument("--input", required=True)
@@ -375,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="bipartite-pure document in Schmidt form")
     p.add_argument("--local-dim", type=_positive_int, default=3)
     p.add_argument("--terms", type=_positive_int, default=6, help="product terms for random sigma")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
     p.add_argument("--seed", type=int, default=0)
 
     p = command("random", cmd_random, "sample state files (JSON lines)")
@@ -396,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=20000)
     p.add_argument("--step-scale", type=float, default=0.02)
     p.add_argument("--resolution", type=int, default=300)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
 
     for name, p in sub.choices.items():
         if name != "random":

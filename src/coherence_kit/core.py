@@ -48,6 +48,20 @@ def _probability_vector(p, what: str) -> np.ndarray:
     return vec
 
 
+def _unit_amplitudes(amplitudes, ndim: int, what: str) -> np.ndarray:
+    """``amplitudes`` as a non-empty, finite, not all zero complex array of
+    ``ndim`` dimensions (1: a vector, 2: a matrix), divided by its l2 norm."""
+    amps = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
+    if amps.ndim != ndim or amps.size == 0:
+        shape = "1-D vector" if ndim == 1 else "matrix"
+        raise ValidationError(f"{what} amplitudes must form a non-empty {shape}")
+    _require_finite(amps, f"{what} amplitudes")
+    norm = float(np.linalg.norm(amps))
+    if norm <= 0.0:
+        raise ValidationError(f"{what} amplitudes must not all be zero")
+    return amps / norm
+
+
 def _require_hermitian(matrix: np.ndarray, tol: float, what: str) -> None:
     gap = np.abs(matrix - matrix.conj().T)
     worst = float(gap.max()) if gap.size else 0.0
@@ -70,14 +84,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.atleast_1d(np.asarray(self.amplitudes, dtype=complex))
-        if amps.ndim != 1 or amps.size == 0:
-            raise ValidationError("pure state amplitudes must form a non-empty 1-D vector")
-        _require_finite(amps, "pure state amplitudes")
-        norm = float(np.linalg.norm(amps))
-        if norm <= 0.0:
-            raise ValidationError("pure state amplitudes must not all be zero")
-        object.__setattr__(self, "amplitudes", amps / norm)
+        object.__setattr__(self, "amplitudes", _unit_amplitudes(self.amplitudes, 1, "pure state"))
 
     @property
     def dim(self) -> int:

@@ -1,13 +1,17 @@
 """Entanglement measures of bipartite pure states via their Schmidt vector.
 
 The trace distance of entanglement of a pure state equals the trace-distance
-coherence of its Schmidt coefficient vector; the separable state achieving it
-is the diagonal embedding of the optimal incoherent state into the Schmidt
-product basis.  The matching lower bound rests on a channel that maps any
-real PPT state to an incoherent one while fixing Schmidt-form pure states:
-the composition of the diagonal twirl with a Kraus channel whose weights are
-read off the PPT state itself.  Both channels are implemented in closed form
-here so the whole argument can be checked numerically.
+coherence of its Schmidt coefficient vector lambda; the separable state
+achieving it is the diagonal embedding of the optimal incoherent state into
+the Schmidt product basis.  The same reduction gives the negativity
+N = C_l1(lambda) / 2 and the relative entropy of entanglement
+E_r = C_r(lambda), so each measure here is a coherence measure of lambda.
+
+The matching lower bound rests on a channel that maps any real PPT state to
+an incoherent one while fixing Schmidt-form pure states: the composition of
+the diagonal twirl with a Kraus channel whose weights are read off the PPT
+state itself.  Both channels are implemented in closed form here so the
+whole argument can be checked numerically.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ from .core import (
     PureState,
     ValidationError,
     _require_bipartite_square,
-    _require_finite,
+    _unit_amplitudes,
     as_density_matrix,
     is_ppt,
 )
+from .measures import c_l1, c_rel_entropy
 from .trace_distance import c_tr_pure, nearest_incoherent
 
 
@@ -46,14 +51,7 @@ class BipartitePureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 2 or amps.size == 0:
-            raise ValidationError("bipartite amplitudes must form a non-empty matrix")
-        _require_finite(amps, "bipartite amplitudes")
-        norm = float(np.linalg.norm(amps))
-        if norm <= 0.0:
-            raise ValidationError("bipartite amplitudes must not all be zero")
-        object.__setattr__(self, "amplitudes", amps / norm)
+        object.__setattr__(self, "amplitudes", _unit_amplitudes(self.amplitudes, 2, "bipartite"))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -79,9 +77,6 @@ class SchmidtData:
     coefficients: np.ndarray
     left: np.ndarray
     right: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.coefficients) @ self.right.T
 
 
 @dataclass(frozen=True)
@@ -113,7 +108,15 @@ def schmidt(v) -> SchmidtData:
 
 
 def schmidt_vector(v) -> PureState:
-    """The Schmidt coefficients packaged as a pure state (they are unit l2)."""
+    """The Schmidt coefficients packaged as a pure state (they are unit l2).
+
+    A ``PureState`` x is returned unchanged, without an SVD: it is read as the
+    maximally correlated state sum_j x_j |j>|j>, whose Schmidt coefficients
+    are the |x_j|, and every measure of the Schmidt vector depends on the
+    moduli alone.
+    """
+    if isinstance(v, PureState):
+        return v
     return PureState(schmidt(v).coefficients)
 
 
@@ -141,27 +144,25 @@ def achieving_separable_state(v) -> DensityMatrix:
 
 
 def negativity_pure(v) -> float:
-    """Negativity ((sum_i lambda_i)^2 - 1) / 2 from the Schmidt coefficients."""
-    lam = schmidt(v).coefficients
-    total = float(np.sum(lam))
-    return (total * total - 1.0) / 2.0
+    """Negativity N = C_l1(lambda) / 2 of the Schmidt vector lambda."""
+    return c_l1(schmidt_vector(v)) / 2.0
 
 
 def e_r_pure(v) -> float:
-    """Relative entropy of entanglement -sum_i lambda_i^2 log2 lambda_i^2."""
-    sq = schmidt(v).coefficients ** 2
-    support = sq[sq > 0.0]
-    return float(-(support @ np.log2(support)))
+    """Relative entropy of entanglement E_r = C_r(lambda) of the Schmidt vector."""
+    return c_rel_entropy(schmidt_vector(v))
 
 
 def check_negativity_bound(v) -> NegativityBoundCheck:
     """Evaluate E_r <= 2N and whether 2N beats the older log2(1 + 2N) bound.
 
-    The new bound is the tighter one exactly when N < 1/2.
+    On the Schmidt vector this is C_r <= C_l1.  The new bound is the tighter
+    one exactly when N < 1/2.
     """
     tol = DEFAULT_TOLERANCES.construction
-    e_r = e_r_pure(v)
-    two_n = 2.0 * negativity_pure(v)
+    lam = schmidt_vector(v)
+    e_r = e_r_pure(lam)
+    two_n = 2.0 * negativity_pure(lam)
     old_bound = float(np.log2(1.0 + two_n))
     return NegativityBoundCheck(
         e_r=e_r,

@@ -39,11 +39,6 @@ class CanonicalForm:
     permutation: np.ndarray
     phases: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        amps = np.empty(self.moduli.size, dtype=complex)
-        amps[self.permutation] = self.moduli
-        return amps * self.phases
-
     def to_original(self, canonical_values: np.ndarray) -> np.ndarray:
         """Scatter a canonical-order vector back to original index order."""
         out = np.empty(canonical_values.shape, dtype=canonical_values.dtype)
@@ -113,6 +108,8 @@ def _sorted_unit_moduli(moduli) -> np.ndarray:
     x = np.atleast_1d(np.asarray(moduli, dtype=float))
     if x.ndim != 1 or x.size == 0:
         raise ValidationError("moduli must form a non-empty 1-D vector")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("moduli must be finite")
     if float(x[-1]) < 0.0:
         raise ValidationError("moduli must be non-negative")
     if np.any(np.diff(x) > 0.0):

@@ -9,7 +9,6 @@ from coherence_kit import (
     NonInvertibleDifferenceError,
     PureState,
     c_tr_grid,
-    extreme_points,
     nearest_incoherent,
     trace_norm,
     verify_mixed_invertible,
@@ -18,29 +17,6 @@ from coherence_kit import (
 from coherence_kit.random_states import random_pure_state
 
 QUTRIT = PureState([2 / 3, 2 / 3, 1 / 3])
-
-
-class TestExtremePoints:
-    def test_two_level(self):
-        points = extreme_points([1.0, 0.0])
-        assert np.allclose(points[0].values, [0.0, 0.0])
-        assert np.allclose(points[1].values, [1.0, -1.0])
-
-    def test_three_level(self):
-        points = extreme_points([0.5, 0.5, 0.0])
-        assert np.allclose(points[0].values, [-0.5, 0.5, 0.0])
-        assert np.allclose(points[1].values, [0.5, -0.5, 0.0])
-        assert np.allclose(points[2].values, [0.5, 0.5, -1.0])
-
-    def test_uniform(self):
-        n = 4
-        points = extreme_points(np.full(n, 1 / n))
-        assert len(points) == n
-        for i, point in enumerate(points):
-            expected = np.full(n, 1 / n)
-            expected[i] -= 1.0
-            assert np.allclose(point.values, expected)
-            assert abs(float(np.sum(point.values))) <= 1e-15
 
 
 class TestPureCertificate:
@@ -117,9 +93,8 @@ class TestPureCertificate:
             w, u = np.linalg.eigh(diff)
             v_sq = np.abs(u[:, -1]) ** 2
             d = result.nearest.diag
-            direct = min(
-                float(v_sq @ point.values) for point in extreme_points(result.nearest)
-            )
+            # Extreme perturbations F_i = d - e_i, one per index.
+            direct = min(float(v_sq @ (d - e_i)) for e_i in np.eye(d.size))
             formula = float(d @ v_sq - v_sq.max())
             assert abs(direct - formula) <= 1e-14
 
@@ -135,8 +110,8 @@ class TestPureCertificate:
             y = result.canonical.moduli
             v = result.v_canonical
             k, q_k = result.k, result.q_k
-            for point in extreme_points(IncoherentState(result.d_canonical)):
-                f = point.values
+            d = IncoherentState(result.d_canonical).diag
+            for f in d - np.eye(d.size):
                 direct = float(f @ (v * v))
                 reduced = float(f[k:] @ (y[k:] ** 2 - q_k**2))
                 assert abs(direct - reduced) <= 1e-12

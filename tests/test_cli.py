@@ -263,6 +263,23 @@ class TestEntanglementCommand:
         assert code == 0
         assert report["e_tr"] == pytest.approx((3 + np.sqrt(17)) / 6, abs=1e-12)
 
+    def test_one_svd_per_call(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(106)
+        path = tmp_path / "v.json"
+        write_state_file(path, "bipartite-pure", random_bipartite_pure(5, 4, rng).amplitudes)
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        code, report = run_json(["entanglement", "--input", str(path)], capsys)
+        assert code == 0
+        assert calls == [(5, 4)]
+        assert report["negativity"] == pytest.approx(report["bound_check"]["two_n"] / 2, rel=1e-15)
+
 
 class TestRandomCommand:
     def test_byte_identical_given_seed(self, capsys):
@@ -797,6 +814,11 @@ class TestUsageErrors:
             (["bench", "--repetitions", "0"], "argument --repetitions: expected a positive integer"),
             (["channel-verify", "--local-dim", "0"], "argument --local-dim: expected a positive integer"),
             (["channel-verify", "--terms", "x"], "argument --terms: expected a positive integer"),
+            (["verify", "--tol", "nan"], "argument --tol: expected a finite non-negative number, got 'nan'"),
+            (["verify", "--tol", "-1"], "argument --tol: expected a finite non-negative number, got '-1'"),
+            (["channel-verify", "--tol", "inf"], "argument --tol: expected a finite non-negative number"),
+            (["oracle", "--tol=-1e-3"], "argument --tol: expected a finite non-negative number"),
+            (["oracle", "--tol", "abc"], "argument --tol: expected a finite non-negative number"),
         ],
     )
     def test_exit_one_without_traceback(self, argv, message):
@@ -812,3 +834,22 @@ class TestUsageErrors:
         result = run_process(argv)
         assert result.returncode == 0
         assert result.stdout and result.stderr == ""
+
+
+class TestOutputErrors:
+    """An --output path that cannot be opened exits 1 with a message naming it."""
+
+    def test_random_into_missing_directory(self, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        result = run_process(["random", "--n", "2", "--output", str(target)])
+        assert result.returncode == 1
+        assert result.stderr == f"error: {target}: No such file or directory\n"
+        assert not target.exists()
+
+    def test_report_into_missing_directory(self, tmp_path):
+        state = write_pure(tmp_path / "x.json", [0.6, 0.8])
+        target = tmp_path / "missing" / "report.json"
+        result = run_process(["nearest", "--input", state, "--output", str(target)])
+        assert result.returncode == 1
+        assert result.stderr == f"error: {target}: No such file or directory\n"
+        assert "Traceback" not in result.stderr

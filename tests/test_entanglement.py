@@ -63,7 +63,8 @@ class TestSchmidt:
             n = int(rng.integers(2, 7))
             v = random_bipartite_pure(m, n, rng)
             data = schmidt(v)
-            assert np.abs(data.reconstruct() - v.amplitudes).max() <= 1e-10
+            rebuilt = (data.left * data.coefficients) @ data.right.T
+            assert np.abs(rebuilt - v.amplitudes).max() <= 1e-10
             assert np.all(np.diff(data.coefficients) <= 0.0)
             for basis in (data.left, data.right):
                 gram = basis.conj().T @ basis
@@ -162,6 +163,33 @@ class TestNegativityAndRelativeEntropy:
             lam_density = schmidt_vector(v).density()
             assert negativity_pure(v) == pytest.approx(c_l1(lam_density) / 2, abs=1e-12)
             assert e_r_pure(v) == pytest.approx(c_rel_entropy(lam_density), abs=1e-12)
+
+
+class TestSchmidtVectorReduction:
+    """N = C_l1(lambda)/2, E_r = C_r(lambda) and E_tr = C_tr(lambda) on the Schmidt vector."""
+
+    def test_negativity_near_product_has_no_cancellation(self):
+        eps = 1e-11
+        state = BipartitePureState(np.diag([np.sqrt(1 - eps * eps), eps]))
+        expected = eps * np.sqrt(1 - eps * eps)
+        assert abs(negativity_pure(state) - expected) <= 1e-12 * expected
+
+    def test_pure_state_reads_as_maximally_correlated_state(self):
+        rng = np.random.default_rng(84)
+        for _ in range(20):
+            n = int(rng.integers(2, 8))
+            x = PureState(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            v = BipartitePureState(np.diag(x.amplitudes))
+            for measure in (negativity_pure, e_r_pure, e_tr_pure):
+                assert measure(x) == pytest.approx(measure(v), rel=1e-12, abs=1e-12)
+            got, want = check_negativity_bound(x), check_negativity_bound(v)
+            for field in ("e_r", "two_n", "old_bound"):
+                assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=1e-12)
+            assert (got.holds, got.improves) == (want.holds, want.improves)
+
+    def test_schmidt_vector_of_pure_state_is_identity(self):
+        x = PureState([0.6j, -0.8])
+        assert schmidt_vector(x) is x
 
 
 class TestNegativityBound:

@@ -43,7 +43,9 @@ class TestCanonicalize:
             n = int(rng.integers(1, 40))
             x = random_pure_state(n, rng)
             form = canonicalize(x)
-            assert np.abs(form.reconstruct() - x.amplitudes).max() <= 1e-12
+            amps = np.empty(n, dtype=complex)
+            amps[form.permutation] = form.moduli
+            assert np.abs(amps * form.phases - x.amplitudes).max() <= 1e-12
             assert np.all(np.diff(form.moduli) <= 0.0)
 
     def test_stable_ties(self):
@@ -93,6 +95,16 @@ class TestPrefixStats:
     def test_rejects_non_unit(self):
         with pytest.raises(ValidationError, match="unit"):
             prefix_stats([0.9, 0.1])
+
+    @pytest.mark.parametrize(
+        "moduli", [[np.nan], [np.nan, np.nan], [np.inf], [1.0, np.nan], [np.inf, 0.0], [-np.inf]]
+    )
+    def test_rejects_non_finite(self, moduli):
+        # NaN slips through every comparison, so the sort and norm checks
+        # alone would let it reach the statistics.
+        for check in (prefix_stats, breakpoint_shortcuts):
+            with pytest.raises(ValidationError, match="moduli must be finite"):
+                check(moduli)
 
 
 class TestFindK:
