@@ -128,6 +128,28 @@ def _load(path: str, role: str, *kinds: str) -> tuple[StateFile, object]:
     return sf, to_state(sf)
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _require_memory(command: str, flags: str, nbytes: int) -> None:
+    """Refuse, before allocating, dense work estimated at more than physical memory.
+
+    A host that overcommits memory may never raise MemoryError for it; the
+    process would be killed instead.
+    """
+    available = _physical_memory()
+    if available is not None and nbytes > available:
+        raise ValidationError(
+            f"{command}: {flags} needs about {nbytes / 1e9:.2f} GB of memory, "
+            f"more than the {available / 1e9:.2f} GB of physical memory here"
+        )
+
+
 def _wall(started: float) -> dict:
     return {"wall_s": time.perf_counter() - started}
 
@@ -244,6 +266,8 @@ def cmd_channel_verify(args) -> tuple[list, dict | None, int]:
             )
         inputs.append((args.sigma, sf.digest))
     else:
+        # sigma is d^2 x d^2 complex; sampling and validating it hold about four copies.
+        _require_memory("channel-verify", f"--local-dim {args.local_dim}", 64 * args.local_dim**4)
         sigma = random_real_separable(args.local_dim, args.terms, rng)
     if args.input:
         vf, v = _load(args.input, "channel-verify --input", "bipartite-pure")
@@ -258,6 +282,14 @@ def cmd_channel_verify(args) -> tuple[list, dict | None, int]:
 
 
 def cmd_random(args) -> tuple[list, dict | None, int]:
+    m = args.m or args.n
+    entries = {"pure": args.n, "mixed": args.n * args.n, "bipartite-pure": m * args.n}[args.kind]
+    flags = f"--m {m} --n {args.n}" if args.kind == "bipartite-pure" else f"--n {args.n}"
+    if args.count > 1:
+        flags += f" --count {args.count}"
+    # About 128 bytes per entry for sampling and formatting, and as much for
+    # the text of each document, all of which is kept until it is written.
+    _require_memory("random", flags, 128 * entries * (args.count + 1))
     rng = np.random.default_rng(args.seed)
     lines = []
     for _ in range(args.count):
@@ -266,7 +298,7 @@ def cmd_random(args) -> tuple[list, dict | None, int]:
         elif args.kind == "mixed":
             data = random_mixed_state(args.n, rng).matrix
         else:
-            data = random_bipartite_pure(args.m or args.n, args.n, rng).amplitudes
+            data = random_bipartite_pure(m, args.n, rng).amplitudes
         lines.append(dump_state_document(state_document(args.kind, data)))
     _write("\n".join(lines) + "\n", args.output)
     return [], None, EXIT_OK
@@ -329,13 +361,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(lowest: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lowest - 1
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_non_negative_int = _int_at_least(0, "a non-negative integer")
+
+
+def _step_scale(text: str) -> float:
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        value = 0.0
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
     return value
 
 
@@ -369,8 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("measures", cmd_measures, "coherence measures of a state file")
     p.add_argument("--input", action="append", required=True, help="state file (repeatable)")
     p.add_argument("--measure", action="append", choices=MEASURE_CHOICES)
-    p.add_argument("--max-iters", type=int, default=20000, help="mixed-state oracle budget")
-    p.add_argument("--step-scale", type=float, default=0.02)
+    p.add_argument(
+        "--max-iters", type=_non_negative_int, default=20000, help="mixed-state oracle budget"
+    )
+    p.add_argument("--step-scale", type=_step_scale, default=0.02)
 
     p = command("nearest", cmd_nearest, "nearest incoherent state of a pure state")
     p.add_argument("--input", required=True)
@@ -406,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("oracle", cmd_oracle, "brute-force trace-distance minimization")
     p.add_argument("--input", required=True)
     p.add_argument("--method", choices=("subgradient", "grid"), default="subgradient")
-    p.add_argument("--max-iters", type=int, default=20000)
-    p.add_argument("--step-scale", type=float, default=0.02)
+    p.add_argument("--max-iters", type=_non_negative_int, default=20000)
+    p.add_argument("--step-scale", type=_step_scale, default=0.02)
     p.add_argument("--resolution", type=int, default=300)
     p.add_argument("--tol", type=_tolerance, default=1e-10)
 

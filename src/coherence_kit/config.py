@@ -12,7 +12,7 @@ class Tolerances:
     psd_drift: how far below zero an eigenvalue may drift and still count as zero.
     certificate: default slack for optimality certificates.
     channel: slack for channel outputs (incoherence, fixed points, PPT).
-    kraus: completeness check for Kraus operator sets.
+    kraus: channel completeness, of a Kraus operator set or of its closed form.
     clip_warn: eigenvalue clipping beyond this emits NumericalDriftWarning.
     """
 

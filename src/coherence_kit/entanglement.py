@@ -8,10 +8,16 @@ N = C_l1(lambda) / 2 and the relative entropy of entanglement
 E_r = C_r(lambda), so each measure here is a coherence measure of lambda.
 
 The matching lower bound rests on a channel that maps any real PPT state to
-an incoherent one while fixing Schmidt-form pure states: the composition of
-the diagonal twirl with a Kraus channel whose weights are read off the PPT
-state itself.  Both channels are implemented in closed form here so the
-whole argument can be checked numerically.
+an incoherent one while fixing Schmidt-form pure states: the composition
+Phi = Omega_sigma o twirl of the diagonal twirl with a Kraus channel whose
+weights are read off the PPT state sigma itself.  After the twirl a state
+has only its populations P[i, j] = M[ij, ij] and its correlation block
+C[i, j] = M[ii, jj], so ``verify_channel_pipeline`` applies Phi in closed
+form from those d^2 + d^2 entries, in O(d^2), and never builds the d^2 x d^2
+projector of the pure state.  The Kraus list (``omega_kraus_operators``), its
+dense application (``apply_kraus``) and the dense twirl (``diagonal_twirl``)
+are kept as the independent slow reference the closed form is tested
+against.
 """
 
 from __future__ import annotations
@@ -269,6 +275,14 @@ def apply_kraus(operators: list[np.ndarray], matrix) -> np.ndarray:
     return out
 
 
+def _offdiag_mass(matrix: np.ndarray) -> float:
+    """Sum of the moduli of the off-diagonal entries, the diagonal masked out
+    (a total minus the diagonal can round below zero)."""
+    moduli = np.abs(matrix)
+    np.fill_diagonal(moduli, 0.0)
+    return float(moduli.sum())
+
+
 def _schmidt_form_coefficients(v: BipartitePureState, tol: float) -> np.ndarray:
     m, n = v.dims
     if m != n:
@@ -276,7 +290,7 @@ def _schmidt_form_coefficients(v: BipartitePureState, tol: float) -> np.ndarray:
             f"the channel pipeline needs equal local dimensions, got {m} x {n}"
         )
     amps = v.amplitudes
-    off_mass = float(np.abs(amps).sum() - np.abs(np.diag(amps)).sum())
+    off_mass = _offdiag_mass(amps)
     diag = np.diag(amps)
     if off_mass > tol or float(np.abs(diag.imag).max()) > tol or float(diag.real.min()) < -tol:
         raise ValidationError(
@@ -286,6 +300,88 @@ def _schmidt_form_coefficients(v: BipartitePureState, tol: float) -> np.ndarray:
     return np.maximum(diag.real, 0.0)
 
 
+def _omega_weights(sigma, local_dim: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The weights c_ij^2 / 2 and signs s_ij of Omega_sigma, all ordered pairs at once.
+
+    The same quantities ``omega_kraus_operators`` puts into its E_ij and F_ij,
+    as n x n arrays (zero weight on the diagonal), with the same checks and
+    messages: sigma must be real and PPT, every non-degenerate pair must
+    satisfy the PPT bound (the first violation in row-major (i, j) order is
+    reported), and each column's weights c^2/2 + c^2/2 + (1 - c^2) must sum
+    to one, the closed form of Kraus completeness.
+    """
+    m = _require_bipartite_square(sigma, local_dim, "channel source state")
+    n = int(local_dim)
+    imag_max = float(np.abs(m.imag).max())
+    if imag_max > tol:
+        raise ValidationError(
+            f"channel source state must be real; largest imaginary part {imag_max:.3e}"
+        )
+    if not is_ppt(m, n, tol):
+        raise ValidationError("channel source state must have positive partial transpose")
+
+    populations, correlations = _twirl_entries(m, n)
+    population = populations.real + populations.real.T
+    off = correlations.real
+    live = population > tol
+    np.fill_diagonal(live, False)
+    excess = np.where(live, np.abs(off) - population / 2.0, 0.0)
+    violations = np.flatnonzero(excess > tol)
+    if violations.size:
+        i, j = divmod(int(violations[0]), n)
+        raise ChannelConstructionError(
+            f"entry pair ({i},{j}) violates the PPT bound: "
+            f"|sigma_ij,ij| = {abs(off[i, j]):.17g} exceeds "
+            f"(sigma_ii,jj + sigma_jj,ii)/2 = {population[i, j] / 2.0:.17g}"
+        )
+    c2 = np.zeros((n, n))
+    c2[live] = np.minimum(1.0, 2.0 * np.abs(off[live]) / population[live])
+    half = c2 / 2.0
+    _require_complete(float(np.abs(half + half + (1.0 - c2) - 1.0).max()))
+    return half, np.where(off >= 0.0, 1.0, -1.0)
+
+
+def _require_complete(gap: float) -> None:
+    if gap > DEFAULT_TOLERANCES.kraus:
+        raise ChannelConstructionError(f"Kraus completeness violated by {gap:.3e}")
+
+
+def _twirl_entries(matrix: np.ndarray, local_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of an n^2 x n^2 matrix the diagonal twirl keeps: the
+    populations P[i, j] = M[ij, ij] and the correlation block C[i, j] = M[ii, jj]."""
+    n = int(local_dim)
+    corr = np.arange(n) * (n + 1)
+    return np.diagonal(matrix).reshape(n, n), matrix[np.ix_(corr, corr)]
+
+
+def _pure_twirl_entries(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_twirl_entries`` of |v><v| read off the n x n amplitude matrix a of v:
+    P[i, j] = |a_ij|^2 and C[i, j] = a_ii conj(a_jj)."""
+    diag = np.diag(amplitudes)
+    return np.abs(amplitudes) ** 2, np.outer(diag, diag.conj())
+
+
+def _omega_after_twirl(
+    half: np.ndarray, signs: np.ndarray, populations: np.ndarray, correlations: np.ndarray
+) -> np.ndarray:
+    """Omega_sigma(twirl(M)) in closed form from the populations and correlation block of M.
+
+    E_+ carries the correlation block over as it is.  For each pair i != j,
+    E_ij moves c_ij^2/2 of P[i, j] onto the 2 x 2 block of (|i> - s_ij |j>)
+    and F_ij moves the remaining 1 - c_ij^2 onto |i><i|:
+
+        out[i, i] = C[i, i] + sum_{j != i} (1 - c_ij^2/2) P[i, j] + (c_ji^2/2) P[j, i]
+        out[i, j] = C[i, j] - s_ij (c_ij^2/2) P[i, j] - s_ji (c_ji^2/2) P[j, i]
+    """
+    moved = half * populations
+    kept = populations - moved
+    np.fill_diagonal(kept, 0.0)  # P[i, i] is C[i, i], which E_+ carries
+    signed = signs * moved
+    out = correlations - signed - signed.T
+    out[np.diag_indices_from(out)] += kept.sum(axis=1) + moved.sum(axis=0)
+    return out
+
+
 def verify_channel_pipeline(sigma, v, tol: float | None = None) -> ChannelPipelineCheck:
     """Run the two-channel pipeline and check both of its guarantees.
 
@@ -293,6 +389,13 @@ def verify_channel_pipeline(sigma, v, tol: float | None = None) -> ChannelPipeli
     incoherent (off-diagonal l1 mass below ``tol``) and Phi(|v><v|) must equal
     the projector onto the Schmidt vector of v (trace distance below ``tol``).
     ``v`` must be supplied in Schmidt form.
+
+    Phi is applied in closed form (``_omega_after_twirl``) from the populations
+    and correlation block of each input; those of |v><v| are read off the
+    amplitude matrix of v.  Besides sigma, an input, nothing larger than
+    d x d is formed: the cost is O(d^2) plus one d x d ``eigvalsh`` and the
+    checks of sigma.  ``apply_kraus(omega_kraus_operators(sigma, d),
+    diagonal_twirl(M, d))`` is the slow reference for the same map.
     """
     if tol is None:
         tol = DEFAULT_TOLERANCES.channel
@@ -300,14 +403,15 @@ def verify_channel_pipeline(sigma, v, tol: float | None = None) -> ChannelPipeli
     lam = _schmidt_form_coefficients(state, tol)
     n = lam.size
     sig = as_density_matrix(sigma).matrix
-    operators = omega_kraus_operators(sig, n, tol)
+    half, signs = _omega_weights(sig, n, tol)
 
-    phi_sigma = apply_kraus(operators, diagonal_twirl(sig, n))
-    offdiag_mass = float(np.abs(phi_sigma).sum() - np.abs(np.diag(phi_sigma)).sum())
+    phi_sigma = _omega_after_twirl(half, signs, *_twirl_entries(sig, n))
+    # Completeness, second half: the map preserves the trace of sigma.
+    _require_complete(abs(complex(np.trace(phi_sigma) - np.trace(sig))))
+    offdiag_mass = _offdiag_mass(phi_sigma)
 
-    phi_v = apply_kraus(operators, diagonal_twirl(state.projector(), n))
-    target = np.outer(lam, lam)
-    gap_eigs = np.linalg.eigvalsh(phi_v - target)
+    phi_v = _omega_after_twirl(half, signs, *_pure_twirl_entries(state.amplitudes))
+    gap_eigs = np.linalg.eigvalsh(phi_v - np.outer(lam, lam))
     fixed_point_distance = float(np.abs(gap_eigs).sum())
 
     return ChannelPipelineCheck(

@@ -354,6 +354,15 @@ class TestBenchAndOracle:
         assert report["value"] == pytest.approx(0.96, abs=1e-3)
         assert report["approximate"] is True
 
+    def test_zero_iterations_report_the_starting_point(self, tmp_path, capsys):
+        rho = random_mixed_state(3, np.random.default_rng(131))
+        path = tmp_path / "rho.json"
+        write_state_file(path, "mixed", rho.matrix)
+        code, report = run_json(["oracle", "--input", str(path), "--max-iters", "0"], capsys)
+        assert code == 0
+        assert report["iterations"] == 0
+        assert report["argmin"] == pytest.approx(np.real(np.diag(rho.matrix)).tolist(), abs=1e-12)
+
     def test_oracle_grid(self, tmp_path, capsys):
         path = write_pure(tmp_path / "x.json", [2 / 3, 2 / 3, 1 / 3])
         code, report = run_json(
@@ -444,6 +453,56 @@ class TestLargePureState:
 
 
 class TestResourceErrors:
+    """Dense sizes set by a flag are checked against physical memory before
+    anything is sampled; MemoryError may never come on an overcommitting host."""
+
+    @pytest.fixture
+    def small_host(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a sampler ran before the size guard")
+
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 10**9)
+        for name in (
+            "random_real_separable",
+            "random_schmidt_state",
+            "random_mixed_state",
+            "random_bipartite_pure",
+            "random_pure_state",
+        ):
+            monkeypatch.setattr(cli, name, forbidden)
+
+    @pytest.mark.parametrize(
+        "argv, flags, gigabytes",
+        [
+            (["channel-verify", "--local-dim", "64"], "--local-dim 64", "1.07"),
+            (["random", "--kind", "mixed", "--n", "2000"], "--n 2000", "1.02"),
+            (
+                ["random", "--kind", "bipartite-pure", "--n", "2000", "--m", "3000", "--count", "2"],
+                "--m 3000 --n 2000 --count 2",
+                "2.30",
+            ),
+            (["random", "--kind", "pure", "--n", "10000000"], "--n 10000000", "2.56"),
+        ],
+    )
+    def test_too_large_for_memory_exits_one_before_sampling(
+        self, argv, flags, gigabytes, small_host, tmp_path, capsys
+    ):
+        target = tmp_path / "out.json"
+        assert cli.main(argv + ["--output", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {argv[0]}: {flags} needs about {gigabytes} GB of memory, "
+            "more than the 1.00 GB of physical memory here\n"
+        )
+        assert not target.exists()
+
+    def test_sizes_that_fit_still_run(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 10**9)
+        code, report = run_json(["channel-verify", "--local-dim", "8"], capsys)
+        assert code == 0 and report["incoherent_ok"] and report["fixed_point_ok"]
+        assert cli.main(["random", "--kind", "mixed", "--n", "100"]) == 0
+
     def test_memory_error_is_exit_one_with_message(self, tmp_path, capsys, monkeypatch):
         def exhausted(state):
             raise MemoryError("Unable to allocate 74.5 GiB for an array")
@@ -819,6 +878,18 @@ class TestUsageErrors:
             (["channel-verify", "--tol", "inf"], "argument --tol: expected a finite non-negative number"),
             (["oracle", "--tol=-1e-3"], "argument --tol: expected a finite non-negative number"),
             (["oracle", "--tol", "abc"], "argument --tol: expected a finite non-negative number"),
+            (
+                ["measures", "--step-scale", "nan"],
+                "argument --step-scale: expected a finite positive number, got 'nan'",
+            ),
+            (["measures", "--step-scale", "inf"], "argument --step-scale: expected a finite positive number"),
+            (["oracle", "--step-scale", "-1"], "argument --step-scale: expected a finite positive number"),
+            (["oracle", "--step-scale", "0"], "argument --step-scale: expected a finite positive number"),
+            (
+                ["measures", "--max-iters", "-3"],
+                "argument --max-iters: expected a non-negative integer, got '-3'",
+            ),
+            (["oracle", "--max-iters", "1.5"], "argument --max-iters: expected a non-negative integer"),
         ],
     )
     def test_exit_one_without_traceback(self, argv, message):

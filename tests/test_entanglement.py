@@ -351,6 +351,15 @@ class TestVerifyChannelPipeline:
             check = verify_channel_pipeline(sigma, v)
             assert check.incoherent_ok and check.fixed_point_ok
 
+    def test_offdiag_mass_is_never_negative(self):
+        # A total minus the diagonal gave -1.1102230246251565e-16 here.
+        rng = np.random.default_rng(16)
+        sigma = random_real_separable(16, 6, rng)
+        v = random_schmidt_state(16, rng)
+        check = verify_channel_pipeline(sigma, v)
+        assert check.offdiag_mass >= 0.0
+        assert check.incoherent_ok and check.fixed_point_ok
+
     def test_requires_schmidt_form(self):
         rng = np.random.default_rng(88)
         v = random_bipartite_pure(3, 3, rng)
