@@ -17,6 +17,7 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -35,7 +36,7 @@ from .entanglement import (
     check_negativity_bound,
     e_r_pure,
     negativity_pure,
-    schmidt,
+    schmidt_vector,
     verify_channel_pipeline,
 )
 from .io import (
@@ -48,7 +49,7 @@ from .io import (
     to_state,
 )
 from .measures import c_l1, c_rel_entropy, c_robustness_pure
-from .oracle import c_tr_grid, c_tr_subgradient
+from .oracle import c_tr_grid, c_tr_subgradient, c_tr_subgradient_many
 from .random_states import (
     random_bipartite_pure,
     random_mixed_state,
@@ -101,15 +102,18 @@ def _flatten(obj, prefix="", out=None):
     return out
 
 
-def _write(text: str, output: str | None) -> None:
-    if output:
-        try:
-            with open(output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValidationError(f"{output}: {exc.strerror}") from exc
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(output: str | None):
+    """The file at ``output`` opened for writing, or stdout without one; an
+    OSError opening or writing it is a ValidationError naming the path."""
+    if not output:
+        yield sys.stdout
+        return
+    try:
+        with open(output, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"{output}: {exc.strerror}") from exc
 
 
 def _load(path: str, role: str, *kinds: str) -> tuple[StateFile, object]:
@@ -154,54 +158,60 @@ def _wall(started: float) -> dict:
     return {"wall_s": time.perf_counter() - started}
 
 
-def _measures_for_state(path: str, args) -> tuple[str, dict]:
-    """The digest of the file parsed from ``path`` and its report entry."""
-    sf, state = _load(path, "measures", "pure", "mixed")
-    pure = isinstance(state, PureState)
-    values: dict = {}
-    for name in args.measure or (MEASURE_CHOICES if pure else ("l1", "rel-ent", "tr")):
-        if name == "l1":
-            values[name] = c_l1(state)
-        elif name == "rel-ent":
-            values[name] = c_rel_entropy(state)
-        elif name == "robustness":
-            if not pure:
-                raise ValidationError(
-                    f"{path}: measure 'robustness' is only available for kind 'pure', "
-                    "not for mixed states"
-                )
-            values[name] = c_robustness_pure(state)
-        elif pure:
-            result = nearest_incoherent(state)
-            values[name] = {
-                "value": result.c_tr,
-                "approximate": False,
-                "k": result.k,
-                "q_k": result.q_k,
-                "nearest": result.nearest.diag.tolist(),
-                "operator_norm_distance": result.op_dist,
-            }
-        else:
-            oracle = c_tr_subgradient(state, max_iters=args.max_iters, step_scale=args.step_scale)
-            values[name] = {
-                "value": oracle.value,
-                "approximate": True,
-                "iterations": oracle.iterations,
-                "converged": oracle.converged,
-                "nearest": oracle.argmin.diag.tolist(),
-            }
-    return sf.digest, {"kind": sf.kind, "dims": list(sf.dims), "values": values}
-
-
 def cmd_measures(args) -> tuple[list, dict | None, int]:
     started = time.perf_counter()
-    digests, entries = zip(*(_measures_for_state(p, args) for p in args.input))
+    loaded = []
+    for path in args.input:
+        sf, state = _load(path, "measures", "pure", "mixed")
+        pure = isinstance(state, PureState)
+        names = args.measure or (MEASURE_CHOICES if pure else ("l1", "rel-ent", "tr"))
+        if "robustness" in names and not pure:
+            raise ValidationError(
+                f"{path}: measure 'robustness' is only available for kind 'pure', "
+                "not for mixed states"
+            )
+        loaded.append((sf, state, dict.fromkeys(names)))
+    mixed_tr = []
+    for sf, state, values in loaded:
+        for name in values:
+            if name == "l1":
+                values[name] = c_l1(state)
+            elif name == "rel-ent":
+                values[name] = c_rel_entropy(state)
+            elif name == "robustness":
+                values[name] = c_robustness_pure(state)
+            elif isinstance(state, PureState):
+                result = nearest_incoherent(state)
+                values[name] = {
+                    "value": result.c_tr,
+                    "approximate": False,
+                    "k": result.k,
+                    "q_k": result.q_k,
+                    "nearest": result.nearest.diag.tolist(),
+                    "operator_norm_distance": result.op_dist,
+                }
+            else:
+                mixed_tr.append((values, state))
+    # One oracle run for every mixed state: those of one dimension share each eigh.
+    oracles = c_tr_subgradient_many(
+        [state for _, state in mixed_tr], max_iters=args.max_iters, step_scale=args.step_scale
+    )
+    for (values, _), oracle in zip(mixed_tr, oracles):
+        values["tr"] = {
+            "value": oracle.value,
+            "approximate": True,
+            "iterations": oracle.iterations,
+            "converged": oracle.converged,
+            "nearest": oracle.argmin.diag.tolist(),
+        }
     body = {
         "requested": args.measure or "all applicable",
-        "states": list(entries),
+        "states": [
+            {"kind": sf.kind, "dims": list(sf.dims), "values": values} for sf, _, values in loaded
+        ],
         "timings": _wall(started),
     }
-    return list(zip(args.input, digests)), body, EXIT_OK
+    return [(path, sf.digest) for path, (sf, _, _) in zip(args.input, loaded)], body, EXIT_OK
 
 
 def cmd_nearest(args) -> tuple[list, dict | None, int]:
@@ -239,11 +249,10 @@ def cmd_verify(args) -> tuple[list, dict | None, int]:
 def cmd_entanglement(args) -> tuple[list, dict | None, int]:
     sf, state = _load(args.input, "entanglement", "bipartite-pure")
     started = time.perf_counter()
-    data = schmidt(state)
-    lam = PureState(data.coefficients)
+    lam = schmidt_vector(state)
     result = nearest_incoherent(lam)
     body = {
-        "schmidt_coefficients": data.coefficients.tolist(),
+        "schmidt_coefficients": lam.amplitudes.real.tolist(),
         "e_tr": result.c_tr,
         "nearest_schmidt_weights": result.nearest.diag.tolist(),
         "negativity": negativity_pure(lam),
@@ -285,22 +294,22 @@ def cmd_random(args) -> tuple[list, dict | None, int]:
     m = args.m or args.n
     entries = {"pure": args.n, "mixed": args.n * args.n, "bipartite-pure": m * args.n}[args.kind]
     flags = f"--m {m} --n {args.n}" if args.kind == "bipartite-pure" else f"--n {args.n}"
-    if args.count > 1:
-        flags += f" --count {args.count}"
     # About 128 bytes per entry for sampling and formatting, and as much for
-    # the text of each document, all of which is kept until it is written.
-    _require_memory("random", flags, 128 * entries * (args.count + 1))
+    # the text of the document. Each document is written, and dropped, before
+    # the next is sampled, so --count does not change the peak.
+    _require_memory("random", flags, 128 * entries * 2)
     rng = np.random.default_rng(args.seed)
-    lines = []
-    for _ in range(args.count):
-        if args.kind == "pure":
-            data = random_pure_state(args.n, rng).amplitudes
-        elif args.kind == "mixed":
-            data = random_mixed_state(args.n, rng).matrix
-        else:
-            data = random_bipartite_pure(m, args.n, rng).amplitudes
-        lines.append(dump_state_document(state_document(args.kind, data)))
-    _write("\n".join(lines) + "\n", args.output)
+    with _output(args.output) as out:
+        for _ in range(args.count):
+            if args.kind == "pure":
+                data = random_pure_state(args.n, rng).amplitudes
+            elif args.kind == "mixed":
+                data = random_mixed_state(args.n, rng).matrix
+            else:
+                data = random_bipartite_pure(m, args.n, rng).amplitudes
+            out.write(dump_state_document(state_document(args.kind, data)))
+            out.write("\n")
+            del data
     return [], None, EXIT_OK
 
 
@@ -486,7 +495,8 @@ def main(argv=None) -> int:
                 text = "".join(f"{key} = {value}\n" for key, value in _flatten(report))
             else:
                 text = render_json(report, indent=2) + "\n"
-            _write(text, args.output)
+            with _output(args.output) as out:
+                out.write(text)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

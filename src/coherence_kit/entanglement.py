@@ -123,7 +123,7 @@ def schmidt_vector(v) -> PureState:
     """
     if isinstance(v, PureState):
         return v
-    return PureState(schmidt(v).coefficients)
+    return PureState(np.linalg.svd(as_bipartite_pure(v).amplitudes, compute_uv=False))
 
 
 def e_tr_pure(v) -> float:

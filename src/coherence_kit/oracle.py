@@ -3,12 +3,14 @@
 These deliberately share no code path with the closed-form solver: the
 subgradient oracle only ever sees the convex objective through dense
 eigendecompositions, and the grid oracle is an exhaustive lattice search.
-Both exist to validate closed-form results, not to be fast.
+Both exist to validate closed-form results; the subgradient oracle also
+serves mixed states, for which there is no closed form.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,17 +27,26 @@ class OracleResult:
 
 
 def simplex_project(v) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-and-threshold)."""
+    """Euclidean projection onto the probability simplex (sort-and-threshold).
+
+    A 1-D ``v`` is one point; each row of a 2-D ``v`` is projected on its own.
+    """
     x = np.atleast_1d(np.asarray(v, dtype=float))
-    if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
-        raise ValidationError("projection input must be a finite 1-D vector")
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, x.size + 1)
-    active = idx[u + (1.0 - css) / idx > 0.0]
-    rho = int(active[-1])
-    theta = (1.0 - css[rho - 1]) / rho
-    return np.maximum(x + theta, 0.0)
+    if x.ndim > 2 or x.size == 0 or not np.isfinite(x).all():
+        raise ValidationError("projection input must be a finite, non-empty 1-D or 2-D array")
+    return _project_rows(x.reshape(-1, x.shape[-1])).reshape(x.shape)
+
+
+def _project_rows(x: np.ndarray) -> np.ndarray:
+    """``simplex_project`` of each row of a finite 2-D ``x``, unchecked."""
+    b, n = x.shape
+    u = np.sort(x, axis=1)[:, ::-1]
+    # theta_j = (1 - (u_1 + ... + u_j)) / j; the threshold is theta at the
+    # last j with u_j + theta_j > 0.
+    theta = (1.0 - u.cumsum(axis=1)) / np.arange(1, n + 1)
+    from_end = (u + theta > 0.0)[:, ::-1].argmax(axis=1)
+    threshold = theta.ravel()[np.arange(n - 1, b * n, n) - from_end]
+    return np.maximum(x + threshold[:, None], 0.0)
 
 
 def c_tr_subgradient(
@@ -45,7 +56,19 @@ def c_tr_subgradient(
     tol: float = 1e-12,
     stall_window: int = 100,
 ) -> OracleResult:
-    """Projected subgradient descent on g(delta) = ||rho - diag(delta)||_tr.
+    """``c_tr_subgradient_many`` on the one state ``rho``."""
+    return c_tr_subgradient_many([rho], max_iters, step_scale, tol, stall_window)[0]
+
+
+def c_tr_subgradient_many(
+    states,
+    max_iters: int = 10000,
+    step_scale: float = 0.04,
+    tol: float = 1e-12,
+    stall_window: int = 100,
+) -> list[OracleResult]:
+    """Projected subgradient descent on g(delta) = ||rho - diag(delta)||_tr,
+    one result per state, in input order.
 
     At each iterate the objective is eigendecomposed, the subgradient
     component j is -sum_i sign(lambda_i) |u_i(j)|^2, the step is
@@ -56,41 +79,99 @@ def c_tr_subgradient(
     best value arrive in bursts, so a tight budget with ``tol=0`` (never stop
     early) is more accurate than a large budget with a loose ``tol``.
 
-    Starts from the diagonal of rho, the natural incoherent shadow.
+    Starts from the diagonal of rho, the natural incoherent shadow.  States
+    of one dimension run together, one stacked ``eigh`` per iteration; each
+    state's arithmetic is that of a run on it alone, so its result does not
+    depend on the other states.
     """
-    a = as_density_matrix(rho).matrix
+    if stall_window < 0:
+        raise ValidationError(f"stall_window must be non-negative, got {stall_window}")
+    matrices = [as_density_matrix(rho).matrix for rho in states]
+    groups: dict[int, list[int]] = {}
+    for i, a in enumerate(matrices):
+        groups.setdefault(a.shape[0], []).append(i)
+    results: list = [None] * len(matrices)
+    for members in groups.values():
+        stack = np.stack([matrices[i] for i in members])
+        runs = _descend(stack, max_iters, step_scale, tol, stall_window)
+        for i, result in zip(members, runs):
+            results[i] = result
+    return results
 
-    def evaluate(delta: np.ndarray) -> tuple[float, np.ndarray]:
-        w, u = np.linalg.eigh(a - np.diag(delta))
-        value = float(np.abs(w).sum())
-        grad = -((u.real**2 + u.imag**2) @ np.sign(w))
-        return value, grad
 
-    delta = simplex_project(np.real(np.diag(a)))
-    value, grad = evaluate(delta)
-    best_value = value
-    best_delta = delta.copy()
-    best_history = [best_value]
-    scale = step_scale * (value if value > 0.0 else 1.0)
-    converged = False
-    iterations = 0
+def _descend(a, max_iters, step_scale, tol, stall_window) -> list[OracleResult]:
+    """The subgradient iteration on a (b, n, n) stack of density matrices.
+
+    A row that stops early leaves the stack; while every row is active the
+    arrays are updated in place, with no indexing by row.
+    """
+    b, n = a.shape[:2]
+
+    def evaluate(a: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """g at each row's delta, and minus a subgradient there."""
+        np.copyto(work, a)
+        np.subtract(work_diagonal, delta, out=work_diagonal)
+        w, u = np.linalg.eigh(work)
+        descent = ((u.real**2 + u.imag**2) @ np.sign(w)[:, :, None])[:, :, 0]
+        return np.abs(w).sum(axis=1), descent
+
+    work = np.empty_like(a)  # a - diag(delta); once rows drop out, its first rows
+    work_diagonal = work.reshape(b, n * n)[:, :: n + 1]
+    delta = simplex_project(np.real(np.diagonal(a, axis1=1, axis2=2)))
+    values, descent = evaluate(a, delta)
+    best_values = values.copy()
+    best_deltas = delta.copy()
+    scales = step_scale * np.where(values > 0.0, values, 1.0)[:, None]
+    # history[t % (stall_window + 1)] is the best value after iteration t.
+    history = np.empty((stall_window + 1, b))
+    history[0] = best_values
+    # The best value never increases, so with tol <= 0 no row ever stalls.
+    can_stall = tol > 0.0
+    rows = np.arange(b)
+    out_values = np.empty_like(best_values)
+    out_deltas = np.empty_like(best_deltas)
+    iterations = np.zeros(b, dtype=int)
+    converged = np.zeros(b, dtype=bool)
     for t in range(1, max_iters + 1):
-        iterations = t
-        delta = simplex_project(delta - (scale / np.sqrt(t)) * grad)
-        value, grad = evaluate(delta)
-        if value < best_value:
-            best_value = value
-            best_delta = delta.copy()
-        best_history.append(best_value)
-        if t >= stall_window and best_history[-stall_window - 1] - best_value < tol:
-            converged = True
+        delta = _project_rows(delta + (scales / math.sqrt(t)) * descent)
+        values, descent = evaluate(a, delta)
+        improved = values < best_values
+        if improved.any():
+            np.copyto(best_values, values, where=improved)
+            np.copyto(best_deltas, delta, where=improved[:, None])
+        if not can_stall:
+            continue
+        history[t % (stall_window + 1)] = best_values
+        if t < stall_window:
+            continue
+        stalled = history[(t + 1) % (stall_window + 1)] - best_values < tol
+        if not stalled.any():
+            continue
+        done = rows[stalled]
+        out_values[done] = best_values[stalled]
+        out_deltas[done] = best_deltas[stalled]
+        iterations[done] = t
+        converged[done] = True
+        if stalled.all():
             break
-    return OracleResult(
-        value=best_value,
-        argmin=IncoherentState(best_delta),
-        iterations=iterations,
-        converged=converged,
-    )
+        keep = ~stalled
+        a, delta, descent, scales = a[keep], delta[keep], descent[keep], scales[keep]
+        best_values, best_deltas = best_values[keep], best_deltas[keep]
+        history, rows = history[:, keep], rows[keep]
+        work, work_diagonal = work[: len(rows)], work_diagonal[: len(rows)]
+    else:
+        out_values[rows] = best_values
+        out_deltas[rows] = best_deltas
+        iterations[rows] = max(max_iters, 0)
+    return [
+        OracleResult(
+            value=float(out_values[r]),
+            argmin=IncoherentState(out_deltas[r]),
+            iterations=int(iterations[r]),
+            converged=bool(converged[r]),
+        )
+        for r in range(b)
+    ]
 
 
 def _lattice_points(n: int, resolution: int):

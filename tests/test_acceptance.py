@@ -14,7 +14,7 @@ from coherence_kit import (
     PureState,
     c_tr_grid,
     c_tr_pure,
-    c_tr_subgradient,
+    c_tr_subgradient_many,
     check_l1_vs_relent,
     check_negativity_bound,
     cli,
@@ -118,13 +118,11 @@ def test_criterion_3_maximal_coherence():
             decrease_ok = False
 
     rng = np.random.default_rng(333)
+    states = [random_mixed_state(int(rng.integers(2, 7)), rng) for _ in range(100)]
     oracle_ok = True
     worst = -np.inf
-    for _ in range(100):
-        n = int(rng.integers(2, 7))
-        rho = random_mixed_state(n, rng)
-        value = c_tr_subgradient(rho, max_iters=3000, tol=0.0).value
-        excess = value - max_coherence_bound(n)
+    for rho, result in zip(states, c_tr_subgradient_many(states, max_iters=3000, tol=0.0)):
+        excess = result.value - max_coherence_bound(rho.dim)
         worst = max(worst, excess)
         if excess > 1e-4:
             oracle_ok = False
@@ -176,12 +174,11 @@ def test_criterion_4_certificate_soundness():
 def test_criterion_5_oracle_equivalence():
     rng = np.random.default_rng(555)
     start = time.perf_counter()
-    worst = 0.0
-    for _ in range(200):
-        n = int(rng.integers(2, 9))
-        x = random_pure_state(n, rng)
-        result = c_tr_subgradient(x.density(), max_iters=6000, step_scale=0.04, tol=0.0)
-        worst = max(worst, abs(result.value - c_tr_pure(x)))
+    states = [random_pure_state(int(rng.integers(2, 9)), rng) for _ in range(200)]
+    results = c_tr_subgradient_many(
+        [x.density() for x in states], max_iters=6000, step_scale=0.04, tol=0.0
+    )
+    worst = max(abs(result.value - c_tr_pure(x)) for x, result in zip(states, results))
     elapsed = time.perf_counter() - start
     subgradient_ok = worst <= 1e-4 and elapsed < 120.0
 

@@ -186,6 +186,86 @@ class TestMeasures:
         )
 
 
+class TestBatchedMeasures:
+    """``measures`` runs the oracle once for all mixed inputs; each entry is
+    what a call on that file alone reports."""
+
+    @pytest.fixture
+    def interleaved(self, tmp_path):
+        rng = np.random.default_rng(107)
+        paths = []
+        for i, (kind, n) in enumerate(
+            [("mixed", 4), ("pure", 3), ("mixed", 3), ("mixed", 4), ("pure", 4), ("mixed", 3)]
+        ):
+            path = tmp_path / f"s{i}.json"
+            if kind == "pure":
+                write_state_file(path, kind, random_pure_state(n, rng).amplitudes)
+            else:
+                write_state_file(path, kind, random_mixed_state(n, rng).matrix)
+            paths.append(str(path))
+        return paths
+
+    def test_entries_match_one_call_per_file(self, interleaved, capsys):
+        options = ["--max-iters", "300"]
+        args = ["measures"]
+        for path in interleaved:
+            args += ["--input", path]
+        code, report = run_json(args + options, capsys)
+        assert code == 0
+        singles = []
+        for path in interleaved:
+            single_code, single = run_json(["measures", "--input", path] + options, capsys)
+            assert single_code == 0
+            singles.append(single["states"][0])
+        assert report["states"] == singles
+        assert [entry["path"] for entry in report["inputs"]] == interleaved
+
+    def test_one_oracle_call_for_all_mixed_inputs(self, interleaved, capsys, monkeypatch):
+        calls = []
+        many = cli.c_tr_subgradient_many
+
+        def counted(states, **options):
+            calls.append([state.dim for state in states])
+            return many(states, **options)
+
+        monkeypatch.setattr(cli, "c_tr_subgradient_many", counted)
+        args = ["measures", "--max-iters", "20"]
+        for path in interleaved:
+            args += ["--input", path]
+        assert run_json(args, capsys)[0] == 0
+        assert calls == [[4, 3, 4, 3]]
+
+    @pytest.mark.parametrize("third", ["bipartite", "missing", "robustness"])
+    def test_invalid_third_input_keeps_message_and_exit_code(
+        self, interleaved, third, tmp_path, capsys
+    ):
+        first, second, options = interleaved[0], interleaved[1], []
+        if third == "bipartite":
+            path = tmp_path / "v.json"
+            write_state_file(path, "bipartite-pure", np.eye(2) / np.sqrt(2))
+            message = (
+                f"{path}: measures takes kind 'pure' or 'mixed', got 'bipartite-pure'; "
+                "use the 'entanglement' command for bipartite input"
+            )
+        elif third == "missing":
+            path = tmp_path / "nope.json"
+            message = f"{path}: No such file or directory"
+        else:
+            # Robustness is asked of all three inputs; only the third is mixed.
+            first, second, path = interleaved[1], interleaved[4], interleaved[2]
+            options = ["--measure", "l1", "--measure", "robustness"]
+            message = (
+                f"{path}: measure 'robustness' is only available for kind 'pure', "
+                "not for mixed states"
+            )
+        args = ["measures", "--input", first, "--input", second, "--input", str(path)]
+        code = cli.main(args + options)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 class TestNearestAndVerify:
     def test_nearest(self, tmp_path, capsys):
         path = write_pure(tmp_path / "x.json", [0.8, 0.6])
@@ -308,6 +388,22 @@ class TestRandomCommand:
         for line in out_path.read_text().splitlines():
             state = to_state(parse_state_document(json.loads(line)))
             assert state.dim == 3
+
+    def test_peak_memory_does_not_grow_with_count(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parents[1]))
+
+        def peak_rss(count):
+            target = tmp_path / f"states-{count}.jsonl"
+            argv = ["random", "--kind", "mixed", "--n", "500", "--count", str(count)]
+            child = subprocess.Popen(
+                [sys.executable, "-m", "coherence_kit.cli", *argv, "--output", str(target)], env=env
+            )
+            _, status, usage = os.wait4(child.pid, 0)
+            assert status == 0
+            assert len(target.read_text().splitlines()) == count
+            return usage.ru_maxrss
+
+        assert peak_rss(3) <= 1.10 * peak_rss(1)
 
     def test_qubit_mean_coherence_band(self, capsys):
         # Monte Carlo sanity band for 2 |x1 x2| over uniform qubit states.
@@ -478,8 +574,8 @@ class TestResourceErrors:
             (["random", "--kind", "mixed", "--n", "2000"], "--n 2000", "1.02"),
             (
                 ["random", "--kind", "bipartite-pure", "--n", "2000", "--m", "3000", "--count", "2"],
-                "--m 3000 --n 2000 --count 2",
-                "2.30",
+                "--m 3000 --n 2000",
+                "1.54",
             ),
             (["random", "--kind", "pure", "--n", "10000000"], "--n 10000000", "2.56"),
         ],
