@@ -5,152 +5,111 @@ closed form together with the unique nearest incoherent state, certifies
 candidates through exact dual witnesses, reduces the trace distance of
 entanglement of bipartite pure states to a Schmidt-vector coherence
 computation, and checks everything against independent brute-force oracles.
+
+The names below are loaded on first use (PEP 562), so ``import coherence_kit``
+imports no submodule and no numpy, and a CLI call imports only the layers its
+command runs.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .certificates import (
-    IncoherentInputError,
-    InconclusiveCertificateError,
-    MixedCertificate,
-    NonInvertibleDifferenceError,
-    PureCertificate,
-    verify_mixed_invertible,
-    verify_pure_optimality,
-)
-from .config import DEFAULT_TOLERANCES, Tolerances
-from .core import (
-    DensityMatrix,
-    DimensionMismatchError,
-    IncoherentState,
-    NumericalDriftWarning,
-    PureState,
-    SpectralDecomposition,
-    ValidationError,
-    as_density_matrix,
-    as_incoherent_state,
-    as_pure_state,
-    hermitian_eig,
-    is_ppt,
-    operator_norm,
-    partial_transpose,
-    trace_norm,
-)
-from .entanglement import (
-    BipartitePureState,
-    ChannelConstructionError,
-    ChannelPipelineCheck,
-    NegativityBoundCheck,
-    SchmidtData,
-    achieving_separable_state,
-    apply_kraus,
-    as_bipartite_pure,
-    check_negativity_bound,
-    diagonal_twirl,
-    e_r_pure,
-    e_tr_pure,
-    negativity_pure,
-    omega_kraus_operators,
-    schmidt,
-    schmidt_vector,
-    verify_channel_pipeline,
-)
-from .measures import (
-    L1RelEntCheck,
-    as_probability_vector,
-    c_l1,
-    c_rel_entropy,
-    c_robustness_pure,
-    check_l1_vs_relent,
-    f_gap,
-    von_neumann_entropy,
-)
-from .oracle import (
-    OracleResult,
-    c_tr_grid,
-    c_tr_subgradient,
-    c_tr_subgradient_many,
-    simplex_project,
-)
-from .trace_distance import (
-    CanonicalForm,
-    PrefixStats,
-    ShortcutFlags,
-    TraceDistanceResult,
-    c_tr_pure,
-    canonicalize,
-    breakpoint_shortcuts,
-    find_k,
-    max_coherence_bound,
-    nearest_incoherent,
-    prefix_stats,
-)
+_SUBMODULE_NAMES = {
+    "config": ("Tolerances", "DEFAULT_TOLERANCES"),
+    "core": (
+        "PureState",
+        "DensityMatrix",
+        "IncoherentState",
+        "BipartitePureState",
+        "SpectralDecomposition",
+        "ValidationError",
+        "DimensionMismatchError",
+        "NumericalDriftWarning",
+        "InconclusiveCertificateError",
+        "as_pure_state",
+        "as_density_matrix",
+        "as_incoherent_state",
+        "hermitian_eig",
+        "trace_norm",
+        "operator_norm",
+        "partial_transpose",
+        "is_ppt",
+    ),
+    "trace_distance": (
+        "CanonicalForm",
+        "PrefixStats",
+        "TraceDistanceResult",
+        "ShortcutFlags",
+        "canonicalize",
+        "prefix_stats",
+        "find_k",
+        "nearest_incoherent",
+        "c_tr_pure",
+        "breakpoint_shortcuts",
+        "max_coherence_bound",
+    ),
+    "certificates": (
+        "PureCertificate",
+        "MixedCertificate",
+        "IncoherentInputError",
+        "NonInvertibleDifferenceError",
+        "verify_pure_optimality",
+        "verify_mixed_invertible",
+    ),
+    "oracle": (
+        "OracleResult",
+        "simplex_project",
+        "c_tr_subgradient",
+        "c_tr_subgradient_many",
+        "c_tr_grid",
+    ),
+    "measures": (
+        "L1RelEntCheck",
+        "as_probability_vector",
+        "c_l1",
+        "von_neumann_entropy",
+        "c_rel_entropy",
+        "c_robustness_pure",
+        "f_gap",
+        "check_l1_vs_relent",
+    ),
+    "entanglement": (
+        "SchmidtData",
+        "NegativityBoundCheck",
+        "ChannelPipelineCheck",
+        "ChannelConstructionError",
+        "as_bipartite_pure",
+        "schmidt",
+        "schmidt_vector",
+        "e_tr_pure",
+        "achieving_separable_state",
+        "negativity_pure",
+        "e_r_pure",
+        "check_negativity_bound",
+        "diagonal_twirl",
+        "omega_kraus_operators",
+        "apply_kraus",
+        "verify_channel_pipeline",
+    ),
+}
 
-__all__ = [
-    "__version__",
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
-    "PureState",
-    "DensityMatrix",
-    "IncoherentState",
-    "SpectralDecomposition",
-    "ValidationError",
-    "DimensionMismatchError",
-    "NumericalDriftWarning",
-    "as_pure_state",
-    "as_density_matrix",
-    "as_incoherent_state",
-    "hermitian_eig",
-    "trace_norm",
-    "operator_norm",
-    "partial_transpose",
-    "is_ppt",
-    "CanonicalForm",
-    "PrefixStats",
-    "TraceDistanceResult",
-    "ShortcutFlags",
-    "canonicalize",
-    "prefix_stats",
-    "find_k",
-    "nearest_incoherent",
-    "c_tr_pure",
-    "breakpoint_shortcuts",
-    "max_coherence_bound",
-    "PureCertificate",
-    "MixedCertificate",
-    "IncoherentInputError",
-    "InconclusiveCertificateError",
-    "NonInvertibleDifferenceError",
-    "verify_pure_optimality",
-    "verify_mixed_invertible",
-    "OracleResult",
-    "simplex_project",
-    "c_tr_subgradient",
-    "c_tr_subgradient_many",
-    "c_tr_grid",
-    "L1RelEntCheck",
-    "as_probability_vector",
-    "c_l1",
-    "von_neumann_entropy",
-    "c_rel_entropy",
-    "c_robustness_pure",
-    "f_gap",
-    "check_l1_vs_relent",
-    "BipartitePureState",
-    "SchmidtData",
-    "NegativityBoundCheck",
-    "ChannelPipelineCheck",
-    "ChannelConstructionError",
-    "as_bipartite_pure",
-    "schmidt",
-    "schmidt_vector",
-    "e_tr_pure",
-    "achieving_separable_state",
-    "negativity_pure",
-    "e_r_pure",
-    "check_negativity_bound",
-    "diagonal_twirl",
-    "omega_kraus_operators",
-    "apply_kraus",
-    "verify_channel_pipeline",
-]
+# Exported name -> the submodule that defines it.
+_EXPORTS = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    # A name outside the table raises AttributeError, so ``from coherence_kit
+    # import io`` falls through to importing the submodule.
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -32,6 +32,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .core import (
+    InconclusiveCertificateError,
     ValidationError,
     as_density_matrix,
     as_incoherent_state,
@@ -49,10 +50,6 @@ _SECULAR_MAX_STEPS = 200
 
 class IncoherentInputError(ValidationError):
     """The input state is already incoherent, so the certificate is vacuous."""
-
-
-class InconclusiveCertificateError(RuntimeError):
-    """Degenerate spectrum prevented a well-defined certificate evaluation."""
 
 
 class NonInvertibleDifferenceError(ValidationError):

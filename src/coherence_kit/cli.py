@@ -6,7 +6,8 @@ and checks its inputs, and ``main`` wraps the body of the report in the
 report envelope and renders it as JSON or as a table. A handler returns
 ``(inputs, body, code)``: the (path, digest) pair of each file it read, the
 report body (None for ``random``, which writes state files itself) and the
-exit code.
+exit code. A handler imports the layers it runs when it runs, so a call loads
+only its own command's modules.
 
 Exit codes form a stable scripting contract: 0 success, 1 validation failure
 (a usage error included) or an input too large for the memory available, 2 a
@@ -15,6 +16,15 @@ numerical failure.
 """
 
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":
+    # A CLI call is one short process that makes little cyclic garbage; the
+    # collector's passes would mostly walk the objects that importing numpy
+    # and the package creates. Disabled here, before numpy loads; ``run``
+    # does the same for the console script.
+    gc.disable()
 
 import argparse
 import contextlib
@@ -26,19 +36,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .certificates import (
-    InconclusiveCertificateError,
-    verify_mixed_invertible,
-    verify_pure_optimality,
-)
-from .core import PureState, ValidationError
-from .entanglement import (
-    check_negativity_bound,
-    e_r_pure,
-    negativity_pure,
-    schmidt_vector,
-    verify_channel_pipeline,
-)
+from .core import InconclusiveCertificateError, PureState, ValidationError
 from .io import (
     StateFile,
     dump_state_document,
@@ -48,16 +46,6 @@ from .io import (
     state_document,
     to_state,
 )
-from .measures import c_l1, c_rel_entropy, c_robustness_pure
-from .oracle import c_tr_grid, c_tr_subgradient, c_tr_subgradient_many
-from .random_states import (
-    random_bipartite_pure,
-    random_mixed_state,
-    random_pure_state,
-    random_real_separable,
-    random_schmidt_state,
-)
-from .trace_distance import nearest_incoherent
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -87,6 +75,8 @@ def _flatten(obj, prefix="", out=None):
     if isinstance(obj, dict):
         for key, value in obj.items():
             _flatten(value, f"{prefix}{key}." if prefix else f"{key}.", out)
+    elif isinstance(obj, np.ndarray):
+        out.append((prefix[:-1], format_floats(obj.shape, tuple(obj.ravel().tolist()))))
     elif isinstance(obj, list):
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
             out.append((prefix[:-1], format_floats((len(obj),), tuple(obj))))
@@ -159,6 +149,9 @@ def _wall(started: float) -> dict:
 
 
 def cmd_measures(args) -> tuple[list, dict | None, int]:
+    from .measures import c_l1, c_rel_entropy, c_robustness_pure
+    from .trace_distance import nearest_incoherent
+
     started = time.perf_counter()
     loaded = []
     for path in args.input:
@@ -187,23 +180,26 @@ def cmd_measures(args) -> tuple[list, dict | None, int]:
                     "approximate": False,
                     "k": result.k,
                     "q_k": result.q_k,
-                    "nearest": result.nearest.diag.tolist(),
+                    "nearest": result.nearest.diag,
                     "operator_norm_distance": result.op_dist,
                 }
             else:
                 mixed_tr.append((values, state))
-    # One oracle run for every mixed state: those of one dimension share each eigh.
-    oracles = c_tr_subgradient_many(
-        [state for _, state in mixed_tr], max_iters=args.max_iters, step_scale=args.step_scale
-    )
-    for (values, _), oracle in zip(mixed_tr, oracles):
-        values["tr"] = {
-            "value": oracle.value,
-            "approximate": True,
-            "iterations": oracle.iterations,
-            "converged": oracle.converged,
-            "nearest": oracle.argmin.diag.tolist(),
-        }
+    if mixed_tr:
+        from .oracle import c_tr_subgradient_many
+
+        # One oracle run for every mixed state: those of one dimension share each eigh.
+        oracles = c_tr_subgradient_many(
+            [state for _, state in mixed_tr], max_iters=args.max_iters, step_scale=args.step_scale
+        )
+        for (values, _), oracle in zip(mixed_tr, oracles):
+            values["tr"] = {
+                "value": oracle.value,
+                "approximate": True,
+                "iterations": oracle.iterations,
+                "converged": oracle.converged,
+                "nearest": oracle.argmin.diag,
+            }
     body = {
         "requested": args.measure or "all applicable",
         "states": [
@@ -215,6 +211,8 @@ def cmd_measures(args) -> tuple[list, dict | None, int]:
 
 
 def cmd_nearest(args) -> tuple[list, dict | None, int]:
+    from .trace_distance import nearest_incoherent
+
     sf, state = _load(args.input, "nearest", "pure")
     started = time.perf_counter()
     result = nearest_incoherent(state)
@@ -222,7 +220,7 @@ def cmd_nearest(args) -> tuple[list, dict | None, int]:
     body = {
         "k": result.k,
         "q_k": result.q_k,
-        "nearest": result.nearest.diag.tolist(),
+        "nearest": result.nearest.diag,
         "mu": result.mu,
         "c_tr": result.c_tr,
         "operator_norm_distance": result.op_dist,
@@ -232,6 +230,8 @@ def cmd_nearest(args) -> tuple[list, dict | None, int]:
 
 
 def cmd_verify(args) -> tuple[list, dict | None, int]:
+    from .certificates import verify_mixed_invertible, verify_pure_optimality
+
     sf, state = _load(args.input, "verify --input", "pure", "mixed")
     cf, candidate = _load(args.candidate, "verify --candidate", "incoherent")
     started = time.perf_counter()
@@ -247,14 +247,22 @@ def cmd_verify(args) -> tuple[list, dict | None, int]:
 
 
 def cmd_entanglement(args) -> tuple[list, dict | None, int]:
+    from .entanglement import (
+        check_negativity_bound,
+        e_r_pure,
+        negativity_pure,
+        schmidt_vector,
+    )
+    from .trace_distance import nearest_incoherent
+
     sf, state = _load(args.input, "entanglement", "bipartite-pure")
     started = time.perf_counter()
     lam = schmidt_vector(state)
     result = nearest_incoherent(lam)
     body = {
-        "schmidt_coefficients": lam.amplitudes.real.tolist(),
+        "schmidt_coefficients": lam.amplitudes.real,
         "e_tr": result.c_tr,
-        "nearest_schmidt_weights": result.nearest.diag.tolist(),
+        "nearest_schmidt_weights": result.nearest.diag,
         "negativity": negativity_pure(lam),
         "e_r": e_r_pure(lam),
         "bound_check": asdict(check_negativity_bound(lam)),
@@ -264,6 +272,9 @@ def cmd_entanglement(args) -> tuple[list, dict | None, int]:
 
 
 def cmd_channel_verify(args) -> tuple[list, dict | None, int]:
+    from .entanglement import verify_channel_pipeline
+    from .random_states import random_real_separable, random_schmidt_state
+
     rng = np.random.default_rng(args.seed)
     inputs = []
     if args.sigma:
@@ -291,6 +302,8 @@ def cmd_channel_verify(args) -> tuple[list, dict | None, int]:
 
 
 def cmd_random(args) -> tuple[list, dict | None, int]:
+    from .random_states import random_bipartite_pure, random_mixed_state, random_pure_state
+
     m = args.m or args.n
     entries = {"pure": args.n, "mixed": args.n * args.n, "bipartite-pure": m * args.n}[args.kind]
     flags = f"--m {m} --n {args.n}" if args.kind == "bipartite-pure" else f"--n {args.n}"
@@ -314,6 +327,9 @@ def cmd_random(args) -> tuple[list, dict | None, int]:
 
 
 def cmd_bench(args) -> tuple[list, dict | None, int]:
+    from .random_states import random_pure_state
+    from .trace_distance import nearest_incoherent
+
     rng = np.random.default_rng(args.seed)
     rows = []
     for n in args.sizes:
@@ -341,6 +357,8 @@ def cmd_bench(args) -> tuple[list, dict | None, int]:
 
 
 def cmd_oracle(args) -> tuple[list, dict | None, int]:
+    from .oracle import c_tr_grid, c_tr_subgradient
+
     sf, state = _load(args.input, "oracle", "pure", "mixed")
     started = time.perf_counter()
     if args.method == "grid":
@@ -353,7 +371,7 @@ def cmd_oracle(args) -> tuple[list, dict | None, int]:
         "method": args.method,
         "approximate": True,
         "value": result.value,
-        "argmin": result.argmin.diag.tolist(),
+        "argmin": result.argmin.diag,
         "iterations": result.iterations,
         "converged": result.converged,
         "timings": _wall(started),
@@ -449,19 +467,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--local-dim", type=_positive_int, default=3)
     p.add_argument("--terms", type=_positive_int, default=6, help="product terms for random sigma")
     p.add_argument("--tol", type=_tolerance, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
 
     p = command("random", cmd_random, "sample state files (JSON lines)")
     p.add_argument("--kind", choices=("pure", "mixed", "bipartite-pure"), default="pure")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m", type=_positive_int, default=None, help="left dimension for bipartite states")
     p.add_argument("--count", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
 
     p = command("bench", cmd_bench, "time the closed-form solver across sizes")
     p.add_argument("--sizes", type=_sizes, default="1000,10000,100000,1000000")
     p.add_argument("--repetitions", type=_positive_int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
 
     p = command("oracle", cmd_oracle, "brute-force trace-distance minimization")
     p.add_argument("--input", required=True)
@@ -515,7 +533,18 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """Entry point of the one-shot CLI process.
+
+    The process runs without the cyclic garbage collector, and everything it
+    holds at exit is frozen, so interpreter shutdown does not walk it all in
+    a final collection. ``main`` alone, as a library call, leaves the
+    collector as it found it.
+    """
+    gc.disable()
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ never mutated afterwards, so concurrent use needs no locking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,10 @@ class DimensionMismatchError(ValidationError):
 
 class NumericalDriftWarning(UserWarning):
     """Eigenvalue clipping exceeded the expected floating-point drift."""
+
+
+class InconclusiveCertificateError(RuntimeError):
+    """Degenerate spectrum prevented a well-defined certificate evaluation."""
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
@@ -105,8 +110,41 @@ class PureState:
 
 
 @dataclass(frozen=True, eq=False)
+class BipartitePureState:
+    """Pure state on an m (x) n space, stored as its coefficient matrix.
+
+    ``amplitudes[i, j]`` multiplies |i>|j>; the matrix is Frobenius-normalized
+    on construction.  Dimensions are explicit, never inferred from square
+    roots.
+    """
+
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "amplitudes", _unit_amplitudes(self.amplitudes, 2, "bipartite"))
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.amplitudes.shape  # type: ignore[return-value]
+
+    def ket(self) -> np.ndarray:
+        """Flattened vector with |i>|j> at position i * n + j."""
+        return self.amplitudes.reshape(-1)
+
+    def projector(self) -> np.ndarray:
+        k = self.ket()
+        return np.outer(k, k.conj())
+
+
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, positive semidefinite, trace-one matrix."""
+    """Hermitian, positive semidefinite, trace-one matrix.
+
+    ``eigenvalues`` is its spectrum in ascending order, as
+    ``np.linalg.eigvalsh`` returns it: kept from the positivity check of
+    construction, or computed on first use for a matrix valid by
+    construction.
+    """
 
     matrix: np.ndarray
 
@@ -120,12 +158,14 @@ class DensityMatrix:
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > tols.construction:
             raise ValidationError(f"density matrix trace is {trace:.17g}, expected 1")
-        min_eig = float(np.linalg.eigvalsh(m)[0])
+        eigenvalues = np.linalg.eigvalsh(m)
+        min_eig = float(eigenvalues[0])
         if min_eig < -tols.psd_drift:
             raise ValidationError(
                 f"density matrix has eigenvalue {min_eig:.3e} below -{tols.psd_drift:g}"
             )
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray) -> "DensityMatrix":
@@ -134,6 +174,10 @@ class DensityMatrix:
         obj = object.__new__(cls)
         object.__setattr__(obj, "matrix", np.asarray(matrix, dtype=complex))
         return obj
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.matrix)
 
     @property
     def dim(self) -> int:

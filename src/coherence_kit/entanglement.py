@@ -28,12 +28,12 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .core import (
+    BipartitePureState,
     DensityMatrix,
     DimensionMismatchError,
     PureState,
     ValidationError,
     _require_bipartite_square,
-    _unit_amplitudes,
     as_density_matrix,
     is_ppt,
 )
@@ -43,33 +43,6 @@ from .trace_distance import c_tr_pure, nearest_incoherent
 
 class ChannelConstructionError(ValidationError):
     """The channel weights cannot be built from the supplied state."""
-
-
-@dataclass(frozen=True, eq=False)
-class BipartitePureState:
-    """Pure state on an m (x) n space, stored as its coefficient matrix.
-
-    ``amplitudes[i, j]`` multiplies |i>|j>; the matrix is Frobenius-normalized
-    on construction.  Dimensions are explicit, never inferred from square
-    roots.
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _unit_amplitudes(self.amplitudes, 2, "bipartite"))
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.amplitudes.shape  # type: ignore[return-value]
-
-    def ket(self) -> np.ndarray:
-        """Flattened vector with |i>|j> at position i * n + j."""
-        return self.amplitudes.reshape(-1)
-
-    def projector(self) -> np.ndarray:
-        k = self.ket()
-        return np.outer(k, k.conj())
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,8 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DensityMatrix, IncoherentState, PureState, ValidationError
-from .entanglement import BipartitePureState
+from .core import (
+    BipartitePureState,
+    DensityMatrix,
+    IncoherentState,
+    PureState,
+    ValidationError,
+)
 
 STATE_KINDS = ("pure", "mixed", "bipartite-pure", "incoherent")
 
@@ -64,15 +69,25 @@ def _parse_real(entry, where: str) -> float:
     raise ValidationError(f"{where}: expected a real number, got {entry!r}")
 
 
-def _parse_array(data: list, shape: tuple[int, ...], real: bool) -> np.ndarray | None:
+def _holds_bool(data: list, ndim: int) -> bool:
+    """Whether an entry of the ``ndim``-deep nested list ``data`` is a bool."""
+    entries = data
+    for _ in range(ndim - 1):
+        entries = itertools.chain.from_iterable(entries)
+    return bool in set(map(type, entries))
+
+
+def _parse_array(
+    data: list, shape: tuple[int, ...], real: bool, may_hold_bools: bool
+) -> np.ndarray | None:
     """``data`` as one array, or None when numpy does not read it as numbers.
 
     Plain numbers must have ``shape`` and, unless ``real``, [re, im] pairs
     ``shape + (2,)``. On None the per-entry parser decides the document, so
     what numpy reads otherwise (strings, null, bools, ints beyond 64 bits,
     ragged rows, numbers mixed with pairs) keeps its result or its message.
-    numpy reads a bool among numbers as 1 or 0, so the entries' types are
-    scanned once for bools.
+    numpy reads a bool among numbers as 1 or 0, so unless ``may_hold_bools``
+    is false the entries' types are scanned once for bools.
     """
     try:
         arr = np.array(data)
@@ -80,10 +95,7 @@ def _parse_array(data: list, shape: tuple[int, ...], real: bool) -> np.ndarray |
         return None
     if arr.dtype.kind not in "fi":
         return None
-    entries = data
-    for _ in range(arr.ndim - 1):
-        entries = itertools.chain.from_iterable(entries)
-    if bool in set(map(type, entries)):
+    if may_hold_bools and _holds_bool(data, arr.ndim):
         return None
     if arr.shape == shape:
         return arr.astype(float if real else complex)
@@ -94,7 +106,15 @@ def _parse_array(data: list, shape: tuple[int, ...], real: bool) -> np.ndarray |
     return None
 
 
-def parse_state_document(doc, source: str = "<memory>") -> StateFile:
+def parse_state_document(
+    doc, source: str = "<memory>", *, may_hold_bools: bool = True
+) -> StateFile:
+    """The validated contents of a state document.
+
+    ``may_hold_bools`` false says that no value in ``doc`` is a bool, as when
+    the JSON text it was read from holds neither ``true`` nor ``false``; the
+    scan of every entry's type for bools is then skipped.
+    """
     if not isinstance(doc, dict):
         raise ValidationError(f"{source}: state document must be an object")
     kind = doc.get("kind")
@@ -115,7 +135,7 @@ def parse_state_document(doc, source: str = "<memory>") -> StateFile:
         n = dims[0]
         if len(data) != n:
             raise ValidationError(f"{source}: 'data' has {len(data)} entries, dims say {n}")
-        values = _parse_array(data, (n,), real=kind == "incoherent")
+        values = _parse_array(data, (n,), kind == "incoherent", may_hold_bools)
         if values is None:
             parse = _parse_real if kind == "incoherent" else _parse_complex
             values = np.array([parse(e, f"{source}: data[{i}]") for i, e in enumerate(data)])
@@ -131,7 +151,7 @@ def parse_state_document(doc, source: str = "<memory>") -> StateFile:
         shape = (dims[0], dims[1])
     if len(data) != shape[0]:
         raise ValidationError(f"{source}: 'data' has {len(data)} rows, dims say {shape[0]}")
-    values = _parse_array(data, shape, real=False)
+    values = _parse_array(data, shape, False, may_hold_bools)
     if values is None:
         rows = []
         for i, row in enumerate(data):
@@ -166,7 +186,9 @@ def load_state_file(path) -> StateFile:
         raise ValidationError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    sf = parse_state_document(doc, source=str(path))
+    # JSON has no bool but the literals true and false.
+    may_hold_bools = b"true" in raw or b"false" in raw
+    sf = parse_state_document(doc, source=str(path), may_hold_bools=may_hold_bools)
     return replace(sf, digest=hashlib.sha256(raw).hexdigest())
 
 

@@ -71,8 +71,7 @@ def c_l1(rho) -> float:
 
 def von_neumann_entropy(rho) -> float:
     """-tr(rho log2 rho), with eigenvalues clipped to [0, 1] against drift."""
-    m = as_density_matrix(rho).matrix
-    w = np.linalg.eigvalsh(m)
+    w = as_density_matrix(rho).eigenvalues
     clipped = max(0.0, -float(w.min())) + max(0.0, float(w.max()) - 1.0)
     if clipped > DEFAULT_TOLERANCES.clip_warn:
         warnings.warn(

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DensityMatrix, IncoherentState, PureState
-from .entanglement import BipartitePureState
+from .core import BipartitePureState, DensityMatrix, IncoherentState, PureState
 
 
 def random_pure_state(n: int, rng: np.random.Generator) -> PureState:

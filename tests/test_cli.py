@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from coherence_kit import cli
+from coherence_kit import cli, oracle, random_states, trace_distance
 from coherence_kit import io as state_io
 from coherence_kit.core import PureState, ValidationError
 from coherence_kit.io import (
@@ -222,18 +222,47 @@ class TestBatchedMeasures:
 
     def test_one_oracle_call_for_all_mixed_inputs(self, interleaved, capsys, monkeypatch):
         calls = []
-        many = cli.c_tr_subgradient_many
+        many = oracle.c_tr_subgradient_many
 
         def counted(states, **options):
             calls.append([state.dim for state in states])
             return many(states, **options)
 
-        monkeypatch.setattr(cli, "c_tr_subgradient_many", counted)
+        monkeypatch.setattr(oracle, "c_tr_subgradient_many", counted)
         args = ["measures", "--max-iters", "20"]
         for path in interleaved:
             args += ["--input", path]
         assert run_json(args, capsys)[0] == 0
         assert calls == [[4, 3, 4, 3]]
+
+    def test_one_eigendecomposition_per_mixed_input(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "rho.json"
+        write_state_file(path, "mixed", random_mixed_state(8, np.random.default_rng(108)).matrix)
+        m = load_state_file(path).data
+
+        def bits(p):
+            p = p[p > 0.0]
+            return float(-(p @ np.log2(p)))
+
+        # The values of the code that decomposed the matrix once to validate it
+        # and once more for S(rho).
+        moduli = np.abs(m)
+        np.fill_diagonal(moduli, 0.0)
+        diag = np.clip(np.real(np.diag(m)), 0.0, 1.0)
+        rel_ent = max(0.0, bits(diag) - bits(np.clip(np.linalg.eigvalsh(m), 0.0, 1.0)))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        argv = ["measures", "--input", str(path), "--measure", "l1", "--measure", "rel-ent"]
+        code, report = run_json(argv, capsys)
+        assert code == 0
+        assert calls == [(8, 8)]
+        assert report["states"][0]["values"] == {"l1": float(moduli.sum()), "rel-ent": rel_ent}
 
     @pytest.mark.parametrize("third", ["bipartite", "missing", "robustness"])
     def test_invalid_third_input_keeps_message_and_exit_code(
@@ -565,7 +594,7 @@ class TestResourceErrors:
             "random_bipartite_pure",
             "random_pure_state",
         ):
-            monkeypatch.setattr(cli, name, forbidden)
+            monkeypatch.setattr(random_states, name, forbidden)
 
     @pytest.mark.parametrize(
         "argv, flags, gigabytes",
@@ -603,7 +632,7 @@ class TestResourceErrors:
         def exhausted(state):
             raise MemoryError("Unable to allocate 74.5 GiB for an array")
 
-        monkeypatch.setattr(cli, "nearest_incoherent", exhausted)
+        monkeypatch.setattr(trace_distance, "nearest_incoherent", exhausted)
         path = write_pure(tmp_path / "x.json", [0.8, 0.6])
         code = cli.main(["nearest", "--input", path])
         captured = capsys.readouterr()
@@ -815,6 +844,7 @@ class TestLargeStateFiles:
 
         monkeypatch.setattr(state_io, "_parse_complex", forbidden)
         monkeypatch.setattr(state_io, "_parse_real", forbidden)
+        monkeypatch.setattr(state_io, "_holds_bool", forbidden)
         monkeypatch.setattr(state_io, "_encode_complex", forbidden, raising=False)
         path = tmp_path / "x.json"
         argv = ["random", "--kind", "pure", "--n", "100000", "--seed", "123", "--output", str(path)]
@@ -859,9 +889,11 @@ class TestNonNumbersInStateFiles:
         [
             ("pure", "[2]", "[true, 0]", "data[0]: "),
             ("pure", "[2]", "[[0.8, 0], [0.6, false]]", "data[1]: "),
+            ("pure", "[3]", "[[0.6, 0], [0.8, 0], [0, true]]", "data[2]: "),
             ("mixed", "[2]", "[[true, 0], [0, 0]]", "data[0][0]: "),
             ("incoherent", "[2]", "[true, 0]", "data[0]: "),
             ("incoherent", "[2]", "[true, false]", "data[0]: "),
+            ("incoherent", "[3]", "[0.5, 0.5, false]", "data[2]: "),
             ("pure", "[true]", "[1]", "field 'dims' must be a list of positive integers"),
             ("pure", "[2]", "[BIG, 0]", "data[0]: "),
             ("pure", "[2]", "[[0, BIG], [1, 0]]", "data[0]: "),
@@ -963,6 +995,9 @@ class TestUsageErrors:
                 "argument --m: expected a positive integer, got '-1'",
             ),
             (["random", "--n", "2", "--count", "0"], "argument --count: expected a positive integer"),
+            (["random", "--n", "2", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
+            (["channel-verify", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
+            (["bench", "--seed", "-1"], "argument --seed: expected a non-negative integer, got '-1'"),
             (["bench", "--sizes", "abc"], "argument --sizes: expected a positive integer, got 'abc'"),
             (["bench", "--sizes", "-5"], "argument --sizes: expected a positive integer, got '-5'"),
             (["bench", "--sizes", "8,0"], "argument --sizes: expected a positive integer, got '0'"),

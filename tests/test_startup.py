@@ -1,0 +1,157 @@
+"""Start-up of the package and of a CLI call: which modules load, and the GC policy.
+
+Each check runs in a fresh interpreter and compares module sets, never times.
+"""
+
+import gc
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import coherence_kit
+from coherence_kit import cli
+from coherence_kit.io import write_state_file
+from coherence_kit.trace_distance import nearest_incoherent
+
+SRC = str(pathlib.Path(coherence_kit.__file__).resolve().parents[1])
+
+# Runs a CLI call in a fresh interpreter and prints to stderr, at exit, the
+# loaded modules, the collector's state then and when numpy was imported.
+# ``-m`` runs ``python -m coherence_kit.cli <argv>`` through runpy, as ``-m``
+# does; ``script`` calls ``cli.run`` as the installed console script does.
+CLI_CHILD = """
+import atexit, gc, json, runpy, sys
+
+state = {}
+
+def on_import(event, args):
+    if event == "import" and args[0] == "numpy":
+        state.setdefault("gc_enabled_at_numpy", gc.isenabled())
+
+def report():
+    state.update(modules=sorted(sys.modules), gc_enabled=gc.isenabled(),
+                 frozen=gc.get_freeze_count())
+    print(json.dumps(state), file=sys.stderr)
+
+sys.addaudithook(on_import)
+atexit.register(report)
+mode, sys.argv = sys.argv[1], ["coherence_kit.cli", *sys.argv[2:]]
+if mode == "-m":
+    runpy.run_module("coherence_kit.cli", run_name="__main__", alter_sys=True)
+else:
+    from coherence_kit.cli import run
+    sys.exit(run())
+"""
+
+
+def child(code: str, *argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def cli_call(*argv: str, mode: str = "-m") -> dict:
+    done = child(CLI_CHILD, mode, *argv)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stderr.splitlines()[-1])
+
+
+def loaded(modules, *names: str) -> set:
+    return {name for name in names if name in modules}
+
+
+@pytest.fixture(scope="module")
+def pure_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("startup")
+    x = np.array([0.6, 0.48, 0.64], dtype=complex)
+    write_state_file(root / "x.json", "pure", x)
+    write_state_file(root / "d.json", "incoherent", nearest_incoherent(x).nearest.diag)
+    return str(root / "x.json"), str(root / "d.json")
+
+
+class TestPackageImport:
+    def test_import_loads_no_submodule_and_no_numpy(self):
+        done = child("import coherence_kit, json, sys; print(json.dumps(sorted(sys.modules)))")
+        assert done.returncode == 0, done.stderr
+        modules = json.loads(done.stdout)
+        assert [m for m in modules if m.startswith("coherence_kit.")] == []
+        assert [m for m in modules if m == "numpy" or m.startswith("numpy.")] == []
+
+    def test_every_exported_name_resolves_to_its_definition(self):
+        for name in coherence_kit.__all__:
+            value = getattr(coherence_kit, name)
+            if name != "__version__":
+                defining = sys.modules[f"coherence_kit.{coherence_kit._EXPORTS[name]}"]
+                assert value is getattr(defining, name)
+        assert set(coherence_kit.__all__) <= set(dir(coherence_kit))
+
+    def test_unknown_name_is_attribute_error_and_submodules_import(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            coherence_kit.no_such_name
+        from coherence_kit import io, oracle
+
+        assert io.__name__ == "coherence_kit.io" and oracle.__name__ == "coherence_kit.oracle"
+
+    def test_moved_classes_are_reexported_where_they_were(self):
+        from coherence_kit import certificates, core, entanglement
+
+        assert entanglement.BipartitePureState is core.BipartitePureState
+        assert certificates.InconclusiveCertificateError is core.InconclusiveCertificateError
+
+
+class TestCliImports:
+    def test_verify_on_pure_input_loads_only_its_layers(self, pure_files):
+        x, d = pure_files
+        modules = cli_call("verify", "--input", x, "--candidate", d)["modules"]
+        assert "coherence_kit.certificates" in modules
+        assert not loaded(
+            modules,
+            "coherence_kit.entanglement",
+            "coherence_kit.oracle",
+            "coherence_kit.random_states",
+            "numpy.random",
+        )
+
+    def test_nearest_loads_only_its_layers(self, pure_files):
+        modules = cli_call("nearest", "--input", pure_files[0])["modules"]
+        assert "coherence_kit.trace_distance" in modules
+        assert not loaded(
+            modules,
+            "coherence_kit.certificates",
+            "coherence_kit.measures",
+            "coherence_kit.oracle",
+            "coherence_kit.entanglement",
+        )
+
+
+class TestGcPolicy:
+    def test_cli_process_runs_without_cyclic_gc_and_freezes_at_exit(self, pure_files):
+        state = cli_call("nearest", "--input", pure_files[0])
+        assert state["gc_enabled_at_numpy"] is False
+        assert state["gc_enabled"] is False
+        assert state["frozen"] > 0
+
+    def test_console_script_runs_without_cyclic_gc_and_freezes_at_exit(self, pure_files):
+        state = cli_call("nearest", "--input", pure_files[0], mode="script")
+        assert state["gc_enabled_at_numpy"] is True
+        assert state["gc_enabled"] is False
+        assert state["frozen"] > 0
+
+    def test_importing_the_cli_leaves_gc_enabled(self):
+        done = child("import gc, coherence_kit.cli; print(gc.isenabled(), gc.get_freeze_count())")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True", "0"]
+
+    def test_in_process_main_leaves_gc_as_found(self, pure_files, capsys):
+        assert gc.isenabled()
+        frozen = gc.get_freeze_count()
+        assert cli.main(["nearest", "--input", pure_files[0]]) == 0
+        capsys.readouterr()
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == frozen
