@@ -995,9 +995,6 @@ class TestUsageErrors:
                 "argument --m: expected a positive integer, got '-1'",
             ),
             (["random", "--n", "2", "--count", "0"], "argument --count: expected a positive integer"),
-            (["random", "--n", "2", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
-            (["channel-verify", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
-            (["bench", "--seed", "-1"], "argument --seed: expected a non-negative integer, got '-1'"),
             (["bench", "--sizes", "abc"], "argument --sizes: expected a positive integer, got 'abc'"),
             (["bench", "--sizes", "-5"], "argument --sizes: expected a positive integer, got '-5'"),
             (["bench", "--sizes", "8,0"], "argument --sizes: expected a positive integer, got '0'"),
@@ -1021,6 +1018,9 @@ class TestUsageErrors:
                 "argument --max-iters: expected a non-negative integer, got '-3'",
             ),
             (["oracle", "--max-iters", "1.5"], "argument --max-iters: expected a non-negative integer"),
+            (["random", "--n", "2", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
+            (["channel-verify", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
+            (["bench", "--seed", "-1"], "argument --seed: expected a non-negative integer, got '-1'"),
         ],
     )
     def test_exit_one_without_traceback(self, argv, message):
