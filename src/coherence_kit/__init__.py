@@ -45,7 +45,6 @@ _SUBMODULE_NAMES = {
         "prefix_stats",
         "find_k",
         "nearest_incoherent",
-        "c_tr_pure",
         "breakpoint_shortcuts",
         "max_coherence_bound",
     ),
@@ -66,7 +65,6 @@ _SUBMODULE_NAMES = {
     ),
     "measures": (
         "L1RelEntCheck",
-        "as_probability_vector",
         "c_l1",
         "von_neumann_entropy",
         "c_rel_entropy",
@@ -82,7 +80,6 @@ _SUBMODULE_NAMES = {
         "as_bipartite_pure",
         "schmidt",
         "schmidt_vector",
-        "e_tr_pure",
         "achieving_separable_state",
         "negativity_pure",
         "e_r_pure",

@@ -78,6 +78,14 @@ def _coherent_moduli_or_raise(state) -> np.ndarray:
     return moduli
 
 
+def _candidate_diagonal(delta, dim: int) -> np.ndarray:
+    """The diagonal of the incoherent candidate ``delta``, checked to have ``dim`` entries."""
+    d = as_incoherent_state(delta).diag
+    if d.size != dim:
+        raise ValidationError(f"candidate dimension {d.size} does not match state dimension {dim}")
+    return d
+
+
 def _secular_root(weights: np.ndarray, d: np.ndarray, lo: float, hi: float) -> float:
     """The root in [lo, hi] of sum_j weights_j / (lam + d_j) = 1, with lo >= 0.
 
@@ -129,11 +137,7 @@ def verify_pure_optimality(x, delta, tol: float | None = None) -> PureCertificat
         tol = DEFAULT_TOLERANCES.certificate
     state = as_pure_state(x)
     weights = _coherent_moduli_or_raise(state) ** 2
-    d = as_incoherent_state(delta).diag
-    if d.size != state.dim:
-        raise ValidationError(
-            f"candidate dimension {d.size} does not match state dimension {state.dim}"
-        )
+    d = _candidate_diagonal(delta, state.dim)
 
     lo = max(0.0, float(np.max(weights - d)), 1.0 - float(d @ weights))
     lam = _secular_root(weights, d, lo, 1.0)
@@ -161,11 +165,7 @@ def verify_mixed_invertible(rho, delta, tol: float | None = None) -> MixedCertif
     if tol is None:
         tol = DEFAULT_TOLERANCES.certificate
     a = as_density_matrix(rho).matrix
-    d = as_incoherent_state(delta).diag
-    if d.size != a.shape[0]:
-        raise ValidationError(
-            f"candidate dimension {d.size} does not match state dimension {a.shape[0]}"
-        )
+    d = _candidate_diagonal(delta, a.shape[0])
 
     difference = a - np.diag(d)
     decomposition = hermitian_eig(difference)

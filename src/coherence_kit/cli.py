@@ -388,45 +388,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(lowest: int, what: str):
-    def parse(text: str) -> int:
+def _number(convert, accept, what: str):
+    """An argparse type: ``convert(text)``, a usage error unless ``accept`` holds."""
+
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            value = lowest - 1
-        if value < lowest:
+            value = None
+        if value is None or not accept(value):
             raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1, "a positive integer")
-_non_negative_int = _int_at_least(0, "a non-negative integer")
-
-
-def _step_scale(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = 0.0
-    if not 0.0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = -1.0
-    if not 0.0 <= value < np.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
-    return value
+_positive_int = _number(int, lambda v: v >= 1, "a positive integer")
+_non_negative_int = _number(int, lambda v: v >= 0, "a non-negative integer")
+_step_scale = _number(float, lambda v: 0.0 < v < np.inf, "a finite positive number")
+_tolerance = _number(float, lambda v: 0.0 <= v < np.inf, "a finite non-negative number")
 
 
 def _sizes(text: str) -> list[int]:
-    return [_positive_int(size) for size in text.split(",") if size]
+    sizes = [_positive_int(size) for size in text.split(",") if size]
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return sizes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("subgradient", "grid"), default="subgradient")
     p.add_argument("--max-iters", type=_non_negative_int, default=20000)
     p.add_argument("--step-scale", type=_step_scale, default=0.02)
-    p.add_argument("--resolution", type=int, default=300)
+    p.add_argument("--resolution", type=_positive_int, default=300)
     p.add_argument("--tol", type=_tolerance, default=1e-10)
 
     for name, p in sub.choices.items():

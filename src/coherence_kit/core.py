@@ -53,29 +53,52 @@ def _probability_vector(p, what: str) -> np.ndarray:
     return vec
 
 
+# Below this l2 norm the squares np.linalg.norm sums lose bits to underflow.
+_NORM_SAFE_MIN = float(np.sqrt(np.finfo(float).tiny)) * 2.0**26
+
+
 def _unit_amplitudes(amplitudes, ndim: int, what: str) -> np.ndarray:
     """``amplitudes`` as a non-empty, finite, not all zero complex array of
-    ``ndim`` dimensions (1: a vector, 2: a matrix), divided by its l2 norm."""
+    ``ndim`` dimensions (1: a vector, 2: a matrix), divided by its l2 norm.
+
+    Where the squares of the entries would under- or overflow, the entries
+    are first scaled, exactly, by a power of two that brings the largest real
+    or imaginary part into [0.5, 1); every other input keeps its bits.
+    """
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
     if amps.ndim != ndim or amps.size == 0:
         shape = "1-D vector" if ndim == 1 else "matrix"
         raise ValidationError(f"{what} amplitudes must form a non-empty {shape}")
     _require_finite(amps, f"{what} amplitudes")
-    norm = float(np.linalg.norm(amps))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(amps))
+    if not _NORM_SAFE_MIN <= norm < np.inf:
+        # Scaled as float pairs: dividing a complex array by a subnormal real gives NaN.
+        parts = np.ascontiguousarray(amps).view(float)
+        _, exponent = np.frexp(np.abs(parts).max())
+        amps = np.ldexp(parts, -exponent).view(complex)
+        norm = float(np.linalg.norm(amps))
     if norm <= 0.0:
         raise ValidationError(f"{what} amplitudes must not all be zero")
     return amps / norm
 
 
-def _require_hermitian(matrix: np.ndarray, tol: float, what: str) -> None:
-    gap = np.abs(matrix - matrix.conj().T)
-    worst = float(gap.max()) if gap.size else 0.0
+def _hermitian_matrix(matrix, tol: float, what: str) -> np.ndarray:
+    """``matrix`` as a complex array, non-empty, square, finite and Hermitian
+    within ``tol``; a failed check names ``what``."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise ValidationError(f"{what} must be a non-empty square matrix")
+    _require_finite(m, what)
+    gap = np.abs(m - m.conj().T)
+    worst = float(gap.max())
     if worst > tol:
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
         raise ValidationError(
             f"{what} is not Hermitian: entries ({i},{j}) and ({j},{i}) "
             f"differ from conjugates by {worst:.3e} (tolerance {tol:g})"
         )
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,12 +150,9 @@ class BipartitePureState:
     def dims(self) -> tuple[int, int]:
         return self.amplitudes.shape  # type: ignore[return-value]
 
-    def ket(self) -> np.ndarray:
-        """Flattened vector with |i>|j> at position i * n + j."""
-        return self.amplitudes.reshape(-1)
-
     def projector(self) -> np.ndarray:
-        k = self.ket()
+        """|v><v|, with |i>|j> at position i * n + j."""
+        k = self.amplitudes.reshape(-1)
         return np.outer(k, k.conj())
 
 
@@ -150,11 +170,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         tols = DEFAULT_TOLERANCES
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise ValidationError("density matrix must be a non-empty square matrix")
-        _require_finite(m, "density matrix")
-        _require_hermitian(m, tols.construction, "density matrix")
+        m = _hermitian_matrix(self.matrix, tols.construction, "density matrix")
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > tols.construction:
             raise ValidationError(f"density matrix trace is {trace:.17g}, expected 1")
@@ -215,11 +231,8 @@ class IncoherentState:
     def dim(self) -> int:
         return self.diag.size
 
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diag.astype(complex))
-
     def density(self) -> DensityMatrix:
-        return DensityMatrix._trusted(self.matrix())
+        return DensityMatrix._trusted(np.diag(self.diag.astype(complex)))
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.diag, dtype=dtype)
@@ -240,9 +253,7 @@ def as_pure_state(x) -> PureState:
 def as_density_matrix(rho) -> DensityMatrix:
     if isinstance(rho, DensityMatrix):
         return rho
-    if isinstance(rho, PureState):
-        return rho.density()
-    if isinstance(rho, IncoherentState):
+    if isinstance(rho, (PureState, IncoherentState)):
         return rho.density()
     return DensityMatrix(rho)
 
@@ -251,47 +262,28 @@ def as_incoherent_state(delta) -> IncoherentState:
     return delta if isinstance(delta, IncoherentState) else IncoherentState(delta)
 
 
-def hermitian_eig(matrix, tol: float | None = None) -> SpectralDecomposition:
+def hermitian_eig(matrix) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending.
-
-    Parameters
-    ----------
-    matrix : array_like
-        Square matrix, Hermitian within `tol` elementwise.
-    tol : float, optional
-        Hermiticity tolerance (defaults to the spectral tolerance).
 
     Raises
     ------
     ValidationError
-        If the matrix is not Hermitian; the message names the worst entry pair.
+        If the matrix is not a non-empty finite square matrix, Hermitian
+        within the spectral tolerance; the message names the worst entry pair.
     """
-    w, v = np.linalg.eigh(_checked_hermitian(matrix, tol, "eigendecomposition"))
+    w, v = np.linalg.eigh(_hermitian_matrix(matrix, DEFAULT_TOLERANCES.spectral, "matrix"))
     return SpectralDecomposition(w[::-1].copy(), v[:, ::-1].copy())
 
 
-def _checked_hermitian(matrix, tol: float | None, purpose: str) -> np.ndarray:
-    """``matrix`` as a complex array, square, finite and Hermitian within
-    ``tol`` (the spectral tolerance by default)."""
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.spectral
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"{purpose} requires a square matrix")
-    _require_finite(m, "matrix")
-    _require_hermitian(m, tol, "matrix")
-    return m
-
-
-def trace_norm(matrix, tol: float | None = None) -> float:
+def trace_norm(matrix) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    w = np.linalg.eigvalsh(_checked_hermitian(matrix, tol, "norm computation"))
+    w = np.linalg.eigvalsh(_hermitian_matrix(matrix, DEFAULT_TOLERANCES.spectral, "matrix"))
     return float(np.abs(w).sum())
 
 
-def operator_norm(matrix, tol: float | None = None) -> float:
+def operator_norm(matrix) -> float:
     """Largest absolute eigenvalue of a Hermitian matrix."""
-    w = np.linalg.eigvalsh(_checked_hermitian(matrix, tol, "norm computation"))
+    w = np.linalg.eigvalsh(_hermitian_matrix(matrix, DEFAULT_TOLERANCES.spectral, "matrix"))
     return float(np.abs(w).max())
 
 

@@ -38,7 +38,7 @@ from .core import (
     is_ppt,
 )
 from .measures import c_l1, c_rel_entropy
-from .trace_distance import c_tr_pure, nearest_incoherent
+from .trace_distance import nearest_incoherent
 
 
 class ChannelConstructionError(ValidationError):
@@ -99,27 +99,17 @@ def schmidt_vector(v) -> PureState:
     return PureState(np.linalg.svd(as_bipartite_pure(v).amplitudes, compute_uv=False))
 
 
-def e_tr_pure(v) -> float:
-    """Trace distance of entanglement of a bipartite pure state."""
-    return c_tr_pure(schmidt_vector(v))
-
-
 def achieving_separable_state(v) -> DensityMatrix:
     """The separable state attaining the trace distance of entanglement.
 
     Embeds the optimal incoherent state of the Schmidt vector diagonally into
-    the Schmidt product basis: sigma = sum_i delta_i |u_i w_i><u_i w_i|.
+    the Schmidt product basis: sigma = sum_i delta_i |u_i w_i><u_i w_i|, one
+    product K diag(delta) K^dagger of the stacked Schmidt kets K.
     """
     data = schmidt(v)
     weights = nearest_incoherent(PureState(data.coefficients)).nearest.diag
-    m, n = data.left.shape[0], data.right.shape[0]
-    sigma = np.zeros((m * n, m * n), dtype=complex)
-    for i, weight in enumerate(weights):
-        if weight == 0.0:
-            continue
-        ket = np.kron(data.left[:, i], data.right[:, i])
-        sigma += weight * np.outer(ket, ket.conj())
-    return DensityMatrix(sigma)
+    kets = (data.left[:, None, :] * data.right[None, :, :]).reshape(-1, weights.size)
+    return DensityMatrix((kets * weights) @ kets.conj().T)
 
 
 def negativity_pure(v) -> float:
@@ -169,7 +159,7 @@ def diagonal_twirl(rho, local_dim: int) -> np.ndarray:
     return out
 
 
-def omega_kraus_operators(sigma, local_dim: int, tol: float | None = None) -> list[np.ndarray]:
+def omega_kraus_operators(sigma, local_dim: int) -> list[np.ndarray]:
     """Kraus operators of the incoherence-forcing channel built from a real PPT state.
 
     The 1 + 2n(n-1) operators map the n (x) n space to an n-dimensional one:
@@ -184,19 +174,11 @@ def omega_kraus_operators(sigma, local_dim: int, tol: float | None = None) -> li
     every c_ij by 1.  When the denominator vanishes the same positivity
     forces the off-diagonal entry to vanish too, and c_ij = 0, s_ij = +1 is
     used.  Completeness (sum K^dagger K = I) is checked before returning.
+    Every check uses the channel tolerance.
     """
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.channel
-    m = _require_bipartite_square(sigma, local_dim, "channel source state")
+    tol = DEFAULT_TOLERANCES.channel
+    m = _channel_source(sigma, local_dim, tol)
     n = int(local_dim)
-    imag_max = float(np.abs(m.imag).max())
-    if imag_max > tol:
-        raise ValidationError(
-            f"channel source state must be real; largest imaginary part {imag_max:.3e}"
-        )
-    if not is_ppt(m, n, tol):
-        raise ValidationError("channel source state must have positive partial transpose")
-
     operators = []
     e_plus = np.zeros((n, n * n))
     for j in range(n):
@@ -213,13 +195,8 @@ def omega_kraus_operators(sigma, local_dim: int, tol: float | None = None) -> li
                 c = 0.0
                 s = 1.0
             else:
-                excess = abs(off) - population / 2.0
-                if excess > tol:
-                    raise ChannelConstructionError(
-                        f"entry pair ({i},{j}) violates the PPT bound: "
-                        f"|sigma_ij,ij| = {abs(off):.17g} exceeds "
-                        f"(sigma_ii,jj + sigma_jj,ii)/2 = {population / 2.0:.17g}"
-                    )
+                if abs(off) - population / 2.0 > tol:
+                    raise _pair_bound_error(i, j, off, population)
                 c = float(np.sqrt(min(1.0, 2.0 * abs(off) / population)))
                 s = 1.0 if off >= 0.0 else -1.0
             e_ij = np.zeros((n, n * n))
@@ -231,11 +208,7 @@ def omega_kraus_operators(sigma, local_dim: int, tol: float | None = None) -> li
             operators.append(f_ij)
 
     completeness = sum(op.T @ op for op in operators)
-    gap = float(np.abs(completeness - np.eye(n * n)).max())
-    if gap > DEFAULT_TOLERANCES.kraus:
-        raise ChannelConstructionError(
-            f"Kraus completeness violated by {gap:.3e}"
-        )
+    _require_complete(float(np.abs(completeness - np.eye(n * n)).max()))
     return operators
 
 
@@ -283,16 +256,8 @@ def _omega_weights(sigma, local_dim: int, tol: float) -> tuple[np.ndarray, np.nd
     reported), and each column's weights c^2/2 + c^2/2 + (1 - c^2) must sum
     to one, the closed form of Kraus completeness.
     """
-    m = _require_bipartite_square(sigma, local_dim, "channel source state")
+    m = _channel_source(sigma, local_dim, tol)
     n = int(local_dim)
-    imag_max = float(np.abs(m.imag).max())
-    if imag_max > tol:
-        raise ValidationError(
-            f"channel source state must be real; largest imaginary part {imag_max:.3e}"
-        )
-    if not is_ppt(m, n, tol):
-        raise ValidationError("channel source state must have positive partial transpose")
-
     populations, correlations = _twirl_entries(m, n)
     population = populations.real + populations.real.T
     off = correlations.real
@@ -302,16 +267,35 @@ def _omega_weights(sigma, local_dim: int, tol: float) -> tuple[np.ndarray, np.nd
     violations = np.flatnonzero(excess > tol)
     if violations.size:
         i, j = divmod(int(violations[0]), n)
-        raise ChannelConstructionError(
-            f"entry pair ({i},{j}) violates the PPT bound: "
-            f"|sigma_ij,ij| = {abs(off[i, j]):.17g} exceeds "
-            f"(sigma_ii,jj + sigma_jj,ii)/2 = {population[i, j] / 2.0:.17g}"
-        )
+        raise _pair_bound_error(i, j, off[i, j], population[i, j])
     c2 = np.zeros((n, n))
     c2[live] = np.minimum(1.0, 2.0 * np.abs(off[live]) / population[live])
     half = c2 / 2.0
     _require_complete(float(np.abs(half + half + (1.0 - c2) - 1.0).max()))
     return half, np.where(off >= 0.0, 1.0, -1.0)
+
+
+def _channel_source(sigma, local_dim: int, tol: float) -> np.ndarray:
+    """``sigma`` as a d^2 x d^2 complex array, checked to be real and PPT
+    within ``tol``: the states the channel weights can be read off."""
+    m = _require_bipartite_square(sigma, local_dim, "channel source state")
+    imag_max = float(np.abs(m.imag).max())
+    if imag_max > tol:
+        raise ValidationError(
+            f"channel source state must be real; largest imaginary part {imag_max:.3e}"
+        )
+    if not is_ppt(m, local_dim, tol):
+        raise ValidationError("channel source state must have positive partial transpose")
+    return m
+
+
+def _pair_bound_error(i: int, j: int, off: float, population: float) -> ChannelConstructionError:
+    """The error for a pair (i, j) with |sigma_ij,ij| above half its population."""
+    return ChannelConstructionError(
+        f"entry pair ({i},{j}) violates the PPT bound: "
+        f"|sigma_ij,ij| = {abs(off):.17g} exceeds "
+        f"(sigma_ii,jj + sigma_jj,ii)/2 = {population / 2.0:.17g}"
+    )
 
 
 def _require_complete(gap: float) -> None:

@@ -186,6 +186,8 @@ def load_state_file(path) -> StateFile:
         raise ValidationError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ValidationError(f"{path}: JSON nested too deeply") from None
     # JSON has no bool but the literals true and false.
     may_hold_bools = b"true" in raw or b"false" in raw
     sf = parse_state_document(doc, source=str(path), may_hold_bools=may_hold_bools)

@@ -33,11 +33,6 @@ class L1RelEntCheck:
     holds: bool
 
 
-def as_probability_vector(p) -> np.ndarray:
-    """Validate a non-negative vector summing to one; clips entries in (-tol, 0)."""
-    return _probability_vector(p, "probability vector")
-
-
 def _entropy_bits(weights: np.ndarray) -> float:
     w = weights[weights > 0.0]
     return float(-(w @ np.log2(w)))
@@ -105,7 +100,7 @@ def f_gap(p) -> float:
     Non-negative on the whole simplex; zero at point masses and at the uniform
     two-outcome vector.
     """
-    vec = as_probability_vector(p)
+    vec = _probability_vector(p, "probability vector")
     support = vec[vec > 0.0]
     root_sum = float(np.sum(np.sqrt(support)))
     return root_sum * root_sum - 1.0 + float(support @ np.log2(support))

@@ -174,6 +174,10 @@ def _descend(a, max_iters, step_scale, tol, stall_window) -> list[OracleResult]:
     ]
 
 
+# Lattice points evaluated per stacked eigvalsh call.
+_GRID_CHUNK = 32768
+
+
 def _lattice_points(n: int, resolution: int):
     # Compositions of `resolution` into n parts, ascending lexicographic order.
     total = resolution + n - 1
@@ -187,18 +191,21 @@ def _lattice_points(n: int, resolution: int):
         yield parts
 
 
-def c_tr_grid(rho, resolution: int, chunk: int = 32768) -> OracleResult:
+def c_tr_grid(rho, resolution: int) -> OracleResult:
     """Exhaustive search over the simplex lattice {a / resolution : sum a = resolution}.
 
     The trace norm is 1-Lipschitz in the l1 distance of the diagonal, so the
     lattice optimum is within 2 n / resolution of the true optimum and never
     below it.  Ties break toward the first lattice point in lexicographic
-    order.  Guarded to n <= 4; the lattice grows combinatorially.
+    order.  Guarded to n <= 4; the lattice grows combinatorially.  n is read
+    before any dense matrix is built (a ``PureState`` gives its amplitude
+    vector), so a large input is refused without densifying it.
     """
+    shape = np.shape(rho)
+    if shape and shape[0] > 4:
+        raise ValidationError(f"grid oracle supports n <= 4, got n = {shape[0]}")
     a = as_density_matrix(rho).matrix
     n = a.shape[0]
-    if n > 4:
-        raise ValidationError(f"grid oracle supports n <= 4, got n = {n}")
     if resolution < 1:
         raise ValidationError("resolution must be a positive integer")
 
@@ -208,7 +215,7 @@ def c_tr_grid(rho, resolution: int, chunk: int = 32768) -> OracleResult:
     diag_idx = np.arange(n)
     points = _lattice_points(n, int(resolution))
     while True:
-        block = list(itertools.islice(points, chunk))
+        block = list(itertools.islice(points, _GRID_CHUNK))
         if not block:
             break
         deltas = np.asarray(block, dtype=float) / resolution

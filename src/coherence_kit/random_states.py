@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BipartitePureState, DensityMatrix, IncoherentState, PureState
+from .core import BipartitePureState, DensityMatrix, PureState
 
 
 def random_pure_state(n: int, rng: np.random.Generator) -> PureState:
@@ -28,10 +28,6 @@ def random_bipartite_pure(m: int, n: int, rng: np.random.Generator) -> Bipartite
 def random_simplex_point(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform on the probability simplex (flat Dirichlet)."""
     return rng.dirichlet(np.ones(n))
-
-
-def random_incoherent_state(n: int, rng: np.random.Generator) -> IncoherentState:
-    return IncoherentState(random_simplex_point(n, rng))
 
 
 def random_schmidt_state(n: int, rng: np.random.Generator) -> BipartitePureState:

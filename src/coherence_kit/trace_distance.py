@@ -220,11 +220,6 @@ def nearest_incoherent(x) -> TraceDistanceResult:
     )
 
 
-def c_tr_pure(x) -> float:
-    """Trace-distance coherence of a pure state, 2 (q_k s_k + m_k)."""
-    return nearest_incoherent(x).c_tr
-
-
 def breakpoint_shortcuts(moduli) -> ShortcutFlags:
     """Closed-form tests for the extreme breakpoints of a sorted unit vector.
 

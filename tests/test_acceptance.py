@@ -13,7 +13,6 @@ from coherence_kit import (
     IncoherentState,
     PureState,
     c_tr_grid,
-    c_tr_pure,
     c_tr_subgradient_many,
     check_l1_vs_relent,
     check_negativity_bound,
@@ -110,11 +109,11 @@ def test_criterion_3_maximal_coherence():
     for n in range(2, 65):
         uniform = np.full(n, 1 / np.sqrt(n))
         bound = max_coherence_bound(n)
-        if abs(c_tr_pure(uniform) - bound) > 1e-12:
+        if abs(nearest_incoherent(uniform).c_tr - bound) > 1e-12:
             equality_ok = False
         perturbed = uniform.copy()
         perturbed[0] += 1e-3
-        if not c_tr_pure(PureState(perturbed)) < bound:
+        if not nearest_incoherent(PureState(perturbed)).c_tr < bound:
             decrease_ok = False
 
     rng = np.random.default_rng(333)
@@ -178,7 +177,9 @@ def test_criterion_5_oracle_equivalence():
     results = c_tr_subgradient_many(
         [x.density() for x in states], max_iters=6000, step_scale=0.04, tol=0.0
     )
-    worst = max(abs(result.value - c_tr_pure(x)) for x, result in zip(states, results))
+    worst = max(
+        abs(result.value - nearest_incoherent(x).c_tr) for x, result in zip(states, results)
+    )
     elapsed = time.perf_counter() - start
     subgradient_ok = worst <= 1e-4 and elapsed < 120.0
 
@@ -187,7 +188,7 @@ def test_criterion_5_oracle_equivalence():
     for _ in range(20):
         n = int(rng.integers(2, 4))
         x = random_pure_state(n, rng)
-        exact = c_tr_pure(x)
+        exact = nearest_incoherent(x).c_tr
         value = c_tr_grid(x.density(), resolution=300).value
         grid_worst = max(grid_worst, abs(value - exact))
         if value < exact - 1e-12:
@@ -235,7 +236,7 @@ def test_criterion_7_schmidt_reduction_harness():
         lam = PureState(np.real(np.diag(v.amplitudes)))
         sigma_star = achieving_separable_state(v)
         attained = trace_norm(v.projector() - sigma_star.matrix)
-        attain_worst = max(attain_worst, abs(attained - c_tr_pure(lam)))
+        attain_worst = max(attain_worst, abs(attained - nearest_incoherent(lam).c_tr))
     attain_ok = attain_worst <= 1e-10
 
     chain_ok = True
@@ -244,7 +245,7 @@ def test_criterion_7_schmidt_reduction_harness():
         v = random_schmidt_state(n, rng)
         lam = PureState(np.real(np.diag(v.amplitudes)))
         sigma = random_real_separable(n, 5, rng)
-        if not c_tr_pure(lam) <= trace_norm(v.projector() - sigma.matrix) + 1e-10:
+        if not nearest_incoherent(lam).c_tr <= trace_norm(v.projector() - sigma.matrix) + 1e-10:
             chain_ok = False
     report(
         7,

@@ -337,6 +337,19 @@ class TestNearestAndVerify:
         code = cli.main(["nearest", "--input", str(tmp_path / "nope.json")])
         assert code == 1
 
+    def test_amplitudes_whose_squares_overflow(self, tmp_path, capsys):
+        path = write_pure(tmp_path / "x.json", [1e200, 1e200])
+        code, report = run_json(["nearest", "--input", path], capsys)
+        assert code == 0
+        assert report["c_tr"] == pytest.approx(1.0, abs=1e-15)
+        assert report["nearest"] == pytest.approx([0.5, 0.5], abs=1e-15)
+
+    def test_amplitudes_whose_squares_underflow(self, tmp_path, capsys):
+        path = write_pure(tmp_path / "x.json", [1e-160, 1e-160])
+        code, report = run_json(["measures", "--input", path, "--measure", "l1"], capsys)
+        assert code == 0
+        assert report["states"][0]["values"]["l1"] == pytest.approx(1.0, abs=1e-15)
+
     def test_inconclusive_certificate_exit_three(self, tmp_path):
         eps = 1e-11
         amps = np.array([np.sqrt(1 - eps * eps), eps], dtype=complex)
@@ -436,10 +449,8 @@ class TestRandomCommand:
 
     def test_qubit_mean_coherence_band(self, capsys):
         # Monte Carlo sanity band for 2 |x1 x2| over uniform qubit states.
-        from coherence_kit import c_tr_pure
-
         rng = np.random.default_rng(12)
-        values = [c_tr_pure(random_pure_state(2, rng)) for _ in range(1000)]
+        values = [nearest_incoherent(random_pure_state(2, rng)).c_tr for _ in range(1000)]
         mean = float(np.mean(values))
         assert 0.0 < mean < 1.0
 
@@ -487,6 +498,17 @@ class TestBenchAndOracle:
         assert code == 0
         assert report["iterations"] == 0
         assert report["argmin"] == pytest.approx(np.real(np.diag(rho.matrix)).tolist(), abs=1e-12)
+
+    def test_grid_refuses_large_n_before_densifying(self, tmp_path, capsys, monkeypatch):
+        def projector(self):
+            raise AssertionError("the grid oracle built the projector")
+
+        monkeypatch.setattr(PureState, "projector", projector)
+        path = write_pure(tmp_path / "x.json", np.ones(4000))
+        assert cli.main(["oracle", "--input", path, "--method", "grid"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: grid oracle supports n <= 4, got n = 4000\n"
 
     def test_oracle_grid(self, tmp_path, capsys):
         path = write_pure(tmp_path / "x.json", [2 / 3, 2 / 3, 1 / 3])
@@ -955,6 +977,14 @@ class TestLoader:
         assert captured.out == ""
         assert captured.err == f"error: {wrong}: {role} takes kind {accepted}, got '{found}'\n"
 
+    def test_deeply_nested_json_is_exit_one_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert cli.main(["nearest", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: JSON nested too deeply\n"
+
     def test_measures_rejects_bipartite_before_building_it(self, tmp_path, capsys, monkeypatch):
         from coherence_kit.entanglement import BipartitePureState
 
@@ -1021,6 +1051,11 @@ class TestUsageErrors:
             (["random", "--n", "2", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
             (["channel-verify", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
             (["bench", "--seed", "-1"], "argument --seed: expected a non-negative integer, got '-1'"),
+            (
+                ["oracle", "--resolution", "0"],
+                "argument --resolution: expected a positive integer, got '0'",
+            ),
+            (["bench", "--sizes", ","], "argument --sizes: expected a positive integer, got ','"),
         ],
     )
     def test_exit_one_without_traceback(self, argv, message):

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from coherence_kit import (
+    BipartitePureState,
     DensityMatrix,
     DimensionMismatchError,
     IncoherentState,
     PureState,
     ValidationError,
+    c_l1,
     hermitian_eig,
     is_ppt,
+    nearest_incoherent,
     operator_norm,
     partial_transpose,
     trace_norm,
@@ -60,6 +63,44 @@ class TestStates:
     def test_incoherent_state_clips_drift(self):
         d = IncoherentState([1.0 + 5e-13, -5e-13])
         assert d.diag[1] == 0.0
+
+
+class TestExtremeScaleAmplitudes:
+    """Amplitudes whose squares under- or overflow a double normalize like any others."""
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-160, 5e-324])
+    def test_pure_state(self, scale):
+        x = PureState([scale, scale])
+        assert np.abs(x.amplitudes - 1 / np.sqrt(2)).max() <= 2e-16
+        assert abs(float(np.sum(x.moduli() ** 2)) - 1.0) <= 4e-16
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-160, 5e-324])
+    def test_bipartite_state(self, scale):
+        v = BipartitePureState(np.eye(2) * scale)
+        assert np.abs(v.amplitudes - np.eye(2) / np.sqrt(2)).max() <= 2e-16
+
+    def test_subnormal_imaginary_parts_give_no_nan(self):
+        x = PureState([5e-324j, 5e-324])
+        assert np.abs(x.amplitudes - np.array([1j, 1.0]) / np.sqrt(2)).max() <= 2e-16
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-160])
+    def test_measures_of_the_uniform_qubit(self, scale):
+        x = PureState([scale, scale])
+        assert c_l1(x) == pytest.approx(1.0, abs=1e-15)
+        result = nearest_incoherent(x)
+        assert result.c_tr == pytest.approx(1.0, abs=1e-15)
+        assert np.abs(result.nearest.diag - 0.5).max() <= 1e-15
+
+    def test_other_inputs_keep_their_bits(self):
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        for scale in (1e-140, 1.0, 1e150):
+            amps = z * scale
+            assert np.array_equal(PureState(amps).amplitudes, amps / np.linalg.norm(amps))
+
+    def test_all_zero_still_rejected(self):
+        with pytest.raises(ValidationError, match="must not all be zero"):
+            PureState([0.0, -0.0])
 
 
 class TestHermitianEig:

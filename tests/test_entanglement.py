@@ -9,13 +9,12 @@ from coherence_kit import (
     apply_kraus,
     c_l1,
     c_rel_entropy,
-    c_tr_pure,
     check_negativity_bound,
     diagonal_twirl,
     e_r_pure,
-    e_tr_pure,
     is_ppt,
     max_coherence_bound,
+    nearest_incoherent,
     negativity_pure,
     omega_kraus_operators,
     partial_transpose,
@@ -73,28 +72,31 @@ class TestSchmidt:
 
 class TestETrPure:
     def test_bell(self):
-        assert e_tr_pure(BELL) == pytest.approx(1.0, abs=1e-12)
+        assert nearest_incoherent(schmidt_vector(BELL)).c_tr == pytest.approx(1.0, abs=1e-12)
 
     def test_qutrit_correlated_state(self):
-        assert e_tr_pure(QUTRIT_STATE) == pytest.approx(QUTRIT_CTR, abs=1e-12)
+        e_tr = nearest_incoherent(schmidt_vector(QUTRIT_STATE)).c_tr
+        assert e_tr == pytest.approx(QUTRIT_CTR, abs=1e-12)
 
     def test_product_is_zero(self):
         state = product_state([0.6, 0.8], [1 / np.sqrt(2), 1 / np.sqrt(2)])
-        assert e_tr_pure(state) <= 1e-12
+        assert nearest_incoherent(schmidt_vector(state)).c_tr <= 1e-12
 
     def test_local_unitary_invariance(self):
         rng = np.random.default_rng(72)
         for _ in range(30):
             n = int(rng.integers(2, 6))
             v = random_bipartite_pure(n, n, rng)
-            base = e_tr_pure(v)
+            base = nearest_incoherent(schmidt_vector(v)).c_tr
             u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
             w, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
             rotated = BipartitePureState(u @ v.amplitudes @ w.T)
-            assert e_tr_pure(rotated) == pytest.approx(base, abs=1e-10)
+            e_tr = nearest_incoherent(schmidt_vector(rotated)).c_tr
+            assert e_tr == pytest.approx(base, abs=1e-10)
 
     def test_bell_attains_qubit_bound(self):
-        assert e_tr_pure(BELL) == pytest.approx(max_coherence_bound(2), abs=1e-12)
+        e_tr = nearest_incoherent(schmidt_vector(BELL)).c_tr
+        assert e_tr == pytest.approx(max_coherence_bound(2), abs=1e-12)
 
 
 class TestAchievingSeparableState:
@@ -125,7 +127,7 @@ class TestAchievingSeparableState:
             n = int(rng.integers(2, 6))
             v = random_bipartite_pure(n, n, rng)
             sigma = achieving_separable_state(v)
-            expected = c_tr_pure(schmidt_vector(v))
+            expected = nearest_incoherent(schmidt_vector(v)).c_tr
             distance = trace_norm(v.projector() - sigma.matrix)
             assert distance == pytest.approx(expected, abs=1e-10)
 
@@ -180,8 +182,10 @@ class TestSchmidtVectorReduction:
             n = int(rng.integers(2, 8))
             x = PureState(rng.standard_normal(n) + 1j * rng.standard_normal(n))
             v = BipartitePureState(np.diag(x.amplitudes))
-            for measure in (negativity_pure, e_r_pure, e_tr_pure):
+            for measure in (negativity_pure, e_r_pure):
                 assert measure(x) == pytest.approx(measure(v), rel=1e-12, abs=1e-12)
+            e_tr_x, e_tr_v = (nearest_incoherent(schmidt_vector(s)).c_tr for s in (x, v))
+            assert e_tr_x == pytest.approx(e_tr_v, rel=1e-12, abs=1e-12)
             got, want = check_negativity_bound(x), check_negativity_bound(v)
             for field in ("e_r", "two_n", "old_bound"):
                 assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=1e-12)
@@ -381,7 +385,7 @@ class TestVerifyChannelPipeline:
             full = trace_norm(diff)
             contracted = trace_norm(image)
             assert contracted <= full + 1e-10
-            assert c_tr_pure(PureState(lam)) <= contracted + 1e-10
+            assert nearest_incoherent(PureState(lam)).c_tr <= contracted + 1e-10
 
 
 def max_correlated(core):
@@ -415,7 +419,7 @@ class TestSchmidtReductionSandwich:
             n = int(rng.integers(2, 6))
             v = random_schmidt_state(n, rng)
             lam = PureState(np.real(np.diag(v.amplitudes)))
-            target = c_tr_pure(lam)
+            target = nearest_incoherent(lam).c_tr
             # Upper direction: the explicit separable state attains C_tr(lambda).
             sigma_star = achieving_separable_state(v)
             attained = trace_norm(v.projector() - sigma_star.matrix)

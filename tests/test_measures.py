@@ -5,10 +5,10 @@ import pytest
 
 from coherence_kit import (
     DensityMatrix,
+    IncoherentState,
     NumericalDriftWarning,
     PureState,
     ValidationError,
-    as_probability_vector,
     c_l1,
     c_rel_entropy,
     c_robustness_pure,
@@ -17,7 +17,6 @@ from coherence_kit import (
     von_neumann_entropy,
 )
 from coherence_kit.random_states import (
-    random_incoherent_state,
     random_pure_state,
     random_simplex_point,
 )
@@ -79,7 +78,7 @@ class TestRelativeEntropy:
         rng = np.random.default_rng(61)
         for _ in range(20):
             n = int(rng.integers(2, 12))
-            rho = random_incoherent_state(n, rng).density()
+            rho = IncoherentState(random_simplex_point(n, rng)).density()
             assert c_rel_entropy(rho) <= 1e-12
 
     def test_qutrit_value(self):
@@ -131,7 +130,7 @@ class TestFGap:
         with pytest.raises(ValidationError):
             f_gap([0.5, 0.6])
         with pytest.raises(ValidationError):
-            as_probability_vector([-0.1, 1.1])
+            f_gap([-0.1, 1.1])
 
 
 class TestL1VsRelEnt:

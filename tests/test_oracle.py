@@ -8,10 +8,10 @@ from coherence_kit import (
     PureState,
     ValidationError,
     c_tr_grid,
-    c_tr_pure,
     c_tr_subgradient,
     c_tr_subgradient_many,
     max_coherence_bound,
+    nearest_incoherent,
     simplex_project,
 )
 from coherence_kit.core import as_density_matrix
@@ -146,7 +146,7 @@ class TestSubgradient:
         states = [random_pure_state(int(rng.integers(2, 9)), rng) for _ in range(20)]
         results = c_tr_subgradient_many([x.density() for x in states], max_iters=6000, tol=0.0)
         for x, result in zip(states, results):
-            assert result.value == pytest.approx(c_tr_pure(x), abs=1e-4)
+            assert result.value == pytest.approx(nearest_incoherent(x).c_tr, abs=1e-4)
 
     def test_mixed_states_respect_coherence_bound(self):
         rng = np.random.default_rng(53)
@@ -278,11 +278,19 @@ class TestGrid:
         for _ in range(20):
             x = random_pure_state(3, rng)
             result = c_tr_grid(x.density(), resolution=60)
-            assert result.value >= c_tr_pure(x) - 1e-12
+            assert result.value >= nearest_incoherent(x).c_tr - 1e-12
 
     def test_dimension_guard(self):
         with pytest.raises(ValidationError, match="n <= 4"):
             c_tr_grid(DensityMatrix(np.eye(5) / 5), resolution=10)
+
+    def test_dimension_guard_reads_n_before_densifying(self, monkeypatch):
+        def projector(self):
+            raise AssertionError("the grid oracle built the projector")
+
+        monkeypatch.setattr(PureState, "projector", projector)
+        with pytest.raises(ValidationError, match="got n = 5"):
+            c_tr_grid(PureState(np.ones(5)), resolution=10)
 
     def test_resolution_guard(self):
         with pytest.raises(ValidationError, match="resolution"):

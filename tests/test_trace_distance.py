@@ -4,7 +4,6 @@ import pytest
 from coherence_kit import (
     PureState,
     ValidationError,
-    c_tr_pure,
     canonicalize,
     breakpoint_shortcuts,
     find_k,
@@ -195,11 +194,11 @@ class TestNearestIncoherent:
         for _ in range(60):
             n = int(rng.integers(2, 24))
             x = random_pure_state(n, rng)
-            base = c_tr_pure(x)
+            base = nearest_incoherent(x).c_tr
             perm = rng.permutation(n)
             phases = np.exp(2j * np.pi * rng.random(n))
             y = PureState(x.amplitudes[perm] * phases)
-            assert c_tr_pure(y) == pytest.approx(base, abs=1e-12)
+            assert nearest_incoherent(y).c_tr == pytest.approx(base, abs=1e-12)
 
     def test_weights_positive_and_sum_exact(self):
         rng = np.random.default_rng(28)
@@ -215,7 +214,7 @@ class TestNearestIncoherent:
         rng = np.random.default_rng(29)
         for _ in range(100):
             n = int(rng.integers(2, 40))
-            value = c_tr_pure(random_pure_state(n, rng))
+            value = nearest_incoherent(random_pure_state(n, rng)).c_tr
             assert value <= max_coherence_bound(n) + 1e-10
 
 
@@ -231,13 +230,14 @@ def _m_k(res):
 class TestCtrPure:
     def test_maximally_coherent_n4(self):
         x = np.full(4, 0.5)
-        assert c_tr_pure(x) == pytest.approx(1.5, abs=1e-12)
+        assert nearest_incoherent(x).c_tr == pytest.approx(1.5, abs=1e-12)
 
     def test_uniform_qubit(self):
-        assert c_tr_pure([1 / np.sqrt(2), 1 / np.sqrt(2)]) == pytest.approx(1.0, abs=1e-12)
+        result = nearest_incoherent([1 / np.sqrt(2), 1 / np.sqrt(2)])
+        assert result.c_tr == pytest.approx(1.0, abs=1e-12)
 
     def test_basis_state(self):
-        assert c_tr_pure([1.0] + [0.0] * 5) == 0.0
+        assert nearest_incoherent([1.0] + [0.0] * 5).c_tr == 0.0
 
 
 class TestBreakpointShortcuts:
