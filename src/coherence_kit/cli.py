@@ -181,7 +181,7 @@ def cmd_measures(args) -> tuple[list, dict | None, int]:
                     "k": result.k,
                     "q_k": result.q_k,
                     "nearest": result.nearest.diag,
-                    "operator_norm_distance": result.op_dist,
+                    "operator_norm_distance": result.mu,
                 }
             else:
                 mixed_tr.append((values, state))
@@ -223,7 +223,7 @@ def cmd_nearest(args) -> tuple[list, dict | None, int]:
         "nearest": result.nearest.diag,
         "mu": result.mu,
         "c_tr": result.c_tr,
-        "operator_norm_distance": result.op_dist,
+        "operator_norm_distance": result.mu,
         "timings": timings,
     }
     return [(args.input, sf.digest)], body, EXIT_OK

@@ -11,9 +11,9 @@ x_k > q_k.  The trace-norm distance is 2 (q_k s_k + m_k) and the operator-norm
 distance is half of that, attained by the eigenvector
 (q_k, ..., q_k, x_{k+1}, ..., x_n).
 
-The breakpoint predicate x_l > q_l holds exactly for l = 1..k, so k is found
-by binary search; all prefix quantities come from one O(n) pass after the
-O(n log n) sort, which is what makes million-dimensional states cheap.
+k comes from one vectorized comparison and every prefix quantity from one
+O(n) pass after the O(n log n) sort; the answer is written back in place at
+the k largest entries.
 """
 
 from __future__ import annotations
@@ -27,23 +27,10 @@ from .core import IncoherentState, ValidationError, as_pure_state
 
 @dataclass(frozen=True, eq=False)
 class CanonicalForm:
-    """Sorted moduli plus the phase/permutation data that restores the input.
-
-    ``moduli`` is descending; canonical slot ``i`` holds original index
-    ``permutation[i]``; ``phases`` stores one unit complex number per original
-    index.  Scattering the moduli through the permutation and multiplying by
-    the phases reproduces the original amplitudes.
-    """
+    """Descending moduli; canonical slot ``i`` holds original index ``permutation[i]``."""
 
     moduli: np.ndarray
     permutation: np.ndarray
-    phases: np.ndarray
-
-    def to_original(self, canonical_values: np.ndarray) -> np.ndarray:
-        """Scatter a canonical-order vector back to original index order."""
-        out = np.empty(canonical_values.shape, dtype=canonical_values.dtype)
-        out[self.permutation] = canonical_values
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,11 +51,8 @@ class PrefixStats:
 
 @dataclass(frozen=True, eq=False)
 class TraceDistanceResult:
-    """Nearest incoherent state of a pure state with its optimality data.
-
-    The nearest state and eigenvector are reported in the original index
-    order; the canonical-order data used to compute them is retained.
-    """
+    """Nearest incoherent state in the original index order, with the operator-norm
+    distance ``mu`` that ``eigenvector`` attains and ``c_tr = 2 mu``."""
 
     k: int
     q_k: float
@@ -76,10 +60,6 @@ class TraceDistanceResult:
     mu: float
     eigenvector: np.ndarray
     c_tr: float
-    op_dist: float
-    canonical: CanonicalForm
-    d_canonical: np.ndarray
-    v_canonical: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -89,18 +69,13 @@ class ShortcutFlags:
 
 
 def canonicalize(x) -> CanonicalForm:
-    """Split a pure state into descending moduli, a permutation, and phases.
+    """Sort the moduli of a pure state in descending order.
 
     The sort is stable: entries with equal modulus keep their relative order.
-    Zero entries get phase 1.
     """
-    state = as_pure_state(x)
-    amps = state.amplitudes
-    moduli = np.abs(amps)
+    moduli = np.abs(as_pure_state(x).amplitudes)
     order = np.argsort(-moduli, kind="stable")
-    safe = np.where(moduli > 0.0, moduli, 1.0)
-    phases = np.where(moduli > 0.0, amps / safe, 1.0 + 0.0j)
-    return CanonicalForm(moduli=moduli[order], permutation=order, phases=phases)
+    return CanonicalForm(moduli=moduli[order], permutation=order)
 
 
 def _sorted_unit_moduli(moduli) -> np.ndarray:
@@ -149,47 +124,29 @@ def prefix_stats(moduli) -> PrefixStats:
     return PrefixStats(s=s, m=m, p=p, q=q)
 
 
-def find_k(moduli, stats: PrefixStats | None = None, *, linear_scan: bool = False) -> int:
-    """Largest index k with x_k > q_k (strict floating-point comparison).
-
-    The predicate is true exactly on a prefix 1..k, so a binary search with
-    O(log n) probes suffices; ``linear_scan`` switches to a full scan for
-    differential testing.  k = 1 always exists.
-    """
+def find_k(moduli, stats: PrefixStats | None = None) -> int:
+    """Largest index k with x_k > q_k (strict floating-point comparison), or 1
+    when no index satisfies it."""
     x = np.asarray(moduli, dtype=float)
     if stats is None:
         stats = prefix_stats(x)
-    q = stats.q
-    if linear_scan:
-        hits = np.nonzero(x > q)[0]
-        return int(hits[-1]) + 1 if hits.size else 1
-    if not x[0] > q[0]:
-        return 1
-    lo, hi = 1, x.size
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if x[mid - 1] > q[mid - 1]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    hits = np.flatnonzero(x > stats.q)
+    return int(hits[-1]) + 1 if hits.size else 1
 
 
 def nearest_incoherent(x) -> TraceDistanceResult:
     """Nearest incoherent state of a pure state under the trace norm.
 
     Sorts the moduli, restricts to the support (leading positive block) so the
-    closed form never divides by a vanishing amplitude, computes the
-    breakpoint k and the diagonal weights, and maps everything back to the
-    original index order.  The minimizer is unique whenever every amplitude is
-    nonzero; with zero amplitudes the support-restricted solution is returned
-    without a uniqueness claim.  Runs in O(n log n) and never forms an n x n
-    matrix.
+    closed form never divides by a vanishing amplitude, and writes the k
+    weights and eigenvector entries back at the k largest moduli.  The
+    minimizer is unique whenever every amplitude is nonzero; with zero
+    amplitudes the support-restricted solution is returned without a
+    uniqueness claim.  Runs in O(n log n) and never forms an n x n matrix.
     """
     state = as_pure_state(x)
     canon = canonicalize(state)
     y = canon.moduli
-    n = y.size
     support = int(np.count_nonzero(y > 0.0))
     ys = y[:support]
     stats = prefix_stats(ys)
@@ -199,24 +156,20 @@ def nearest_incoherent(x) -> TraceDistanceResult:
     m_k = float(stats.m[k - 1])
     mu = q_k * s_k + m_k
 
-    d_canon = np.zeros(n)
-    d_canon[:k] = (ys[:k] - q_k) / (s_k - k * q_k)
-    v_canon = np.concatenate([np.full(k, q_k), y[k:]])
-
-    d_original = canon.to_original(d_canon)
-    v_original = canon.to_original(v_canon.astype(complex)) * canon.phases
+    amps = state.amplitudes
+    top = canon.permutation[:k]
+    d = np.zeros(y.size)
+    d[top] = (ys[:k] - q_k) / (s_k - k * q_k)
+    v = amps.copy()
+    v[top] = q_k * (amps[top] / y[:k])
 
     return TraceDistanceResult(
         k=k,
         q_k=q_k,
-        nearest=IncoherentState(d_original),
+        nearest=IncoherentState(d),
         mu=mu,
-        eigenvector=v_original,
+        eigenvector=v,
         c_tr=2.0 * mu,
-        op_dist=mu,
-        canonical=canon,
-        d_canonical=d_canon,
-        v_canonical=v_canon,
     )
 
 

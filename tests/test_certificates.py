@@ -9,6 +9,7 @@ from coherence_kit import (
     NonInvertibleDifferenceError,
     PureState,
     c_tr_grid,
+    canonicalize,
     nearest_incoherent,
     trace_norm,
     verify_mixed_invertible,
@@ -107,10 +108,11 @@ class TestPureCertificate:
             n = int(rng.integers(2, 16))
             x = random_pure_state(n, rng)
             result = nearest_incoherent(x)
-            y = result.canonical.moduli
-            v = result.v_canonical
+            canon = canonicalize(x)
+            y = canon.moduli
+            v = np.abs(result.eigenvector)[canon.permutation]
             k, q_k = result.k, result.q_k
-            d = IncoherentState(result.d_canonical).diag
+            d = result.nearest.diag[canon.permutation]
             for f in d - np.eye(d.size):
                 direct = float(f @ (v * v))
                 reduced = float(f[k:] @ (y[k:] ** 2 - q_k**2))

@@ -23,18 +23,15 @@ class TestCanonicalize:
     def test_sign_absorption(self):
         form = canonicalize([1 / np.sqrt(2), -1 / np.sqrt(2)])
         assert np.allclose(form.moduli, [1 / np.sqrt(2), 1 / np.sqrt(2)])
-        assert np.allclose(form.phases, [1.0, -1.0])
 
     def test_modulus_sort_with_phase(self):
         form = canonicalize([1j / 3, 2 / 3, 2 / 3])
         assert np.allclose(form.moduli, [2 / 3, 2 / 3, 1 / 3])
         assert list(form.permutation) == [1, 2, 0]
-        assert form.phases[0] == pytest.approx(1j)
 
     def test_sorted_input_identity(self):
         form = canonicalize([0.8, 0.6])
         assert list(form.permutation) == [0, 1]
-        assert np.allclose(form.phases, [1.0, 1.0])
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(21)
@@ -42,9 +39,9 @@ class TestCanonicalize:
             n = int(rng.integers(1, 40))
             x = random_pure_state(n, rng)
             form = canonicalize(x)
-            amps = np.empty(n, dtype=complex)
-            amps[form.permutation] = form.moduli
-            assert np.abs(amps * form.phases - x.amplitudes).max() <= 1e-12
+            moduli = np.empty(n)
+            moduli[form.permutation] = form.moduli
+            assert np.array_equal(moduli, np.abs(x.amplitudes))
             assert np.all(np.diff(form.moduli) <= 0.0)
 
     def test_stable_ties(self):
@@ -116,12 +113,15 @@ class TestFindK:
     def test_basis_state(self):
         assert find_k([1.0, 0.0, 0.0]) == 1
 
-    def test_binary_matches_linear(self):
+    def test_predicate_holds_on_exact_prefix(self):
+        # x_l > q_l holds for l = 1..k and for no larger l.
         rng = np.random.default_rng(23)
         for _ in range(500):
             n = int(rng.integers(1, 80))
             x = np.sort(random_pure_state(n, rng).moduli())[::-1]
-            assert find_k(x) == find_k(x, linear_scan=True)
+            holds = x > prefix_stats(x).q
+            k = find_k(x)
+            assert holds[:k].all() and not holds[k:].any()
 
 
 class TestNearestIncoherent:
@@ -130,7 +130,7 @@ class TestNearestIncoherent:
         assert res.k == 2
         assert np.abs(res.nearest.diag - np.array([0.5, 0.5, 0.0])).max() <= 1e-12
         assert res.c_tr == pytest.approx(QUTRIT_CTR, abs=1e-12)
-        assert res.op_dist == pytest.approx(QUTRIT_CTR / 2, abs=1e-12)
+        assert res.mu == pytest.approx(QUTRIT_CTR / 2, abs=1e-12)
 
     def test_qubit_closed_form(self):
         res = nearest_incoherent([0.8, 0.6])
@@ -162,7 +162,9 @@ class TestNearestIncoherent:
             m = x.projector() - np.diag(res.nearest.diag)
             residual = m @ res.eigenvector - res.mu * res.eigenvector
             assert np.linalg.norm(residual) <= 1e-10
-            assert res.mu == pytest.approx(res.q_k * _s_k(res) + _m_k(res), abs=1e-12)
+            y = canonicalize(x).moduli
+            s_k, m_k = float(np.sum(y[: res.k])), float(y[res.k :] @ y[res.k :])
+            assert res.mu == pytest.approx(res.q_k * s_k + m_k, abs=1e-12)
 
     def test_monotone_breakpoint(self):
         rng = np.random.default_rng(25)
@@ -204,8 +206,9 @@ class TestNearestIncoherent:
         rng = np.random.default_rng(28)
         for _ in range(100):
             n = int(rng.integers(2, 40))
-            res = nearest_incoherent(random_pure_state(n, rng))
-            d = res.d_canonical
+            x = random_pure_state(n, rng)
+            res = nearest_incoherent(x)
+            d = res.nearest.diag[canonicalize(x).permutation]
             assert np.all(d[: res.k] > 0.0)
             assert np.count_nonzero(res.nearest.diag) == res.k
             assert float(np.sum(res.nearest.diag)) == pytest.approx(1.0, abs=1e-14)
@@ -216,15 +219,6 @@ class TestNearestIncoherent:
             n = int(rng.integers(2, 40))
             value = nearest_incoherent(random_pure_state(n, rng)).c_tr
             assert value <= max_coherence_bound(n) + 1e-10
-
-
-def _s_k(res):
-    return float(np.sum(res.canonical.moduli[: res.k]))
-
-
-def _m_k(res):
-    tail = res.canonical.moduli[res.k :]
-    return float(tail @ tail)
 
 
 class TestCtrPure:
