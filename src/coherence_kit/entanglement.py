@@ -37,7 +37,7 @@ from .core import (
     as_density_matrix,
     is_ppt,
 )
-from .measures import c_l1, c_rel_entropy
+from .measures import _offdiag_mass, c_l1, c_rel_entropy
 from .trace_distance import nearest_incoherent
 
 
@@ -219,14 +219,6 @@ def apply_kraus(operators: list[np.ndarray], matrix) -> np.ndarray:
     for op in operators:
         out += op @ m @ op.conj().T
     return out
-
-
-def _offdiag_mass(matrix: np.ndarray) -> float:
-    """Sum of the moduli of the off-diagonal entries, the diagonal masked out
-    (a total minus the diagonal can round below zero)."""
-    moduli = np.abs(matrix)
-    np.fill_diagonal(moduli, 0.0)
-    return float(moduli.sum())
 
 
 def _schmidt_form_coefficients(v: BipartitePureState, tol: float) -> np.ndarray:

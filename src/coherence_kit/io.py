@@ -28,6 +28,9 @@ from .core import (
 
 STATE_KINDS = ("pure", "mixed", "bipartite-pure", "incoherent")
 
+# An error message quotes at most this many characters of a bad entry.
+_QUOTE_LIMIT = 100
+
 
 @dataclass(frozen=True, eq=False)
 class StateFile:
@@ -55,18 +58,54 @@ def _to_float(value, where: str) -> float:
         raise ValidationError(f"{where}: integer too large for a double") from None
 
 
+def _repr_pieces(value):
+    """``repr`` of a parsed JSON value, piece by piece."""
+    if isinstance(value, list):
+        yield "["
+        for i, item in enumerate(value):
+            if i:
+                yield ", "
+            yield from _repr_pieces(item)
+        yield "]"
+    elif isinstance(value, dict):
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            if i:
+                yield ", "
+            yield from _repr_pieces(key)
+            yield ": "
+            yield from _repr_pieces(item)
+        yield "}"
+    elif isinstance(value, str):
+        # One character past the limit is enough to know the quote is cut.
+        yield repr(value[: _QUOTE_LIMIT + 1])
+    else:
+        yield repr(value)
+
+
+def _quote(entry) -> str:
+    """``repr(entry)``, or its first ``_QUOTE_LIMIT`` characters and "..." when
+    longer; a large entry is never rendered whole."""
+    text = ""
+    for piece in _repr_pieces(entry):
+        text += piece
+        if len(text) > _QUOTE_LIMIT:
+            return text[:_QUOTE_LIMIT] + "..."
+    return text
+
+
 def _parse_complex(entry, where: str) -> complex:
     if _is_number(entry):
         return complex(_to_float(entry, where))
     if isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
         return complex(_to_float(entry[0], where), _to_float(entry[1], where))
-    raise ValidationError(f"{where}: expected a number or a [re, im] pair, got {entry!r}")
+    raise ValidationError(f"{where}: expected a number or a [re, im] pair, got {_quote(entry)}")
 
 
 def _parse_real(entry, where: str) -> float:
     if _is_number(entry):
         return _to_float(entry, where)
-    raise ValidationError(f"{where}: expected a real number, got {entry!r}")
+    raise ValidationError(f"{where}: expected a real number, got {_quote(entry)}")
 
 
 def _holds_bool(data: list, ndim: int) -> bool:

@@ -52,6 +52,14 @@ def _l1_from_moduli(moduli: np.ndarray) -> float:
     return 2.0 * float(moduli[i]) * r + (r * r - float(rest @ rest))
 
 
+def _offdiag_mass(matrix: np.ndarray) -> float:
+    """Sum of the moduli of the off-diagonal entries, the diagonal masked out
+    (a total minus the diagonal can round below zero)."""
+    moduli = np.abs(matrix)
+    np.fill_diagonal(moduli, 0.0)
+    return float(moduli.sum())
+
+
 def c_l1(rho) -> float:
     """Sum of the absolute values of the off-diagonal entries.
 
@@ -59,9 +67,7 @@ def c_l1(rho) -> float:
     """
     if isinstance(rho, PureState):
         return _l1_from_moduli(rho.moduli())
-    moduli = np.abs(as_density_matrix(rho).matrix)
-    np.fill_diagonal(moduli, 0.0)
-    return float(moduli.sum())
+    return _offdiag_mass(as_density_matrix(rho).matrix)
 
 
 def von_neumann_entropy(rho) -> float:

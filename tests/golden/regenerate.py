@@ -44,8 +44,7 @@ def mask_timings(text: str) -> str:
     return TIMINGS.sub("<timings>", text)
 
 
-def write_inputs() -> list[dict]:
-    """Write every input file and return the cases that read them."""
+def write_inputs() -> None:
     inputs = HERE / "inputs"
     inputs.mkdir(exist_ok=True)
     for name, amplitudes in PURE_INPUTS.items():
@@ -59,6 +58,9 @@ def write_inputs() -> list[dict]:
     bell = np.eye(2, dtype=complex) / np.sqrt(2.0)
     write_state_file(inputs / "bell.json", "bipartite-pure", bell)
 
+
+def cases() -> list[dict]:
+    """Name, argv and whether its floats derive from an SVD, per case."""
     runs = []
     for command in ("nearest", "measures"):
         for name in PURE_INPUTS:
@@ -90,13 +92,14 @@ def run_case(argv: list[str]) -> tuple[int, str]:
 
 
 def main() -> None:
-    cases = write_inputs()
+    write_inputs()
     reports = HERE / "reports"
     reports.mkdir(exist_ok=True)
-    for case in cases:
+    table = cases()
+    for case in table:
         case["exit_code"], stdout = run_case(case["argv"])
         (reports / f"{case['name']}.out").write_text(stdout)
-    lines = ",\n".join(json.dumps(case) for case in cases)
+    lines = ",\n".join(json.dumps(case) for case in table)
     (HERE / "cases.json").write_text(f"[\n{lines}\n]\n")
 
 

@@ -510,6 +510,28 @@ class TestBenchAndOracle:
         assert captured.out == ""
         assert captured.err == "error: grid oracle supports n <= 4, got n = 4000\n"
 
+    def test_grid_refuses_a_lattice_beyond_the_point_limit(self, tmp_path, capsys):
+        path = write_pure(tmp_path / "x.json", [2 / 3, 2 / 3, 1 / 3])
+        argv = ["oracle", "--input", path, "--method", "grid", "--resolution", "100000"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: grid oracle lattice at n = 3, resolution 100000 has 5000150001 points, "
+            "more than the limit of 10000000\n"
+        )
+
+    def test_grid_admits_the_default_resolution_at_n4(self, tmp_path, capsys, monkeypatch):
+        def first_point(n, resolution):
+            # The walk itself (4.6 M points) is replaced by its first point.
+            return iter([(resolution, 0, 0, 0)])
+
+        monkeypatch.setattr(oracle, "_lattice_points", first_point)
+        path = write_pure(tmp_path / "x.json", [0.5, 0.5, 0.5, 0.5])
+        code, report = run_json(["oracle", "--input", path, "--method", "grid"], capsys)
+        assert code == 0
+        assert report["argmin"] == [1.0, 0.0, 0.0, 0.0]
+
     def test_oracle_grid(self, tmp_path, capsys):
         path = write_pure(tmp_path / "x.json", [2 / 3, 2 / 3, 1 / 3])
         code, report = run_json(
@@ -775,6 +797,23 @@ class TestVectorizedStateFileIO:
         with pytest.raises(ValidationError) as info:
             load_state_file(path)
         assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "kind, entry, expected",
+        [
+            ("pure", [0.5] * 200_000, "a number or a [re, im] pair"),
+            ("incoherent", "x" * 200_000, "a real number"),
+        ],
+    )
+    def test_parse_errors_quote_at_most_100_characters(
+        self, tmp_path, capsys, kind, entry, expected
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kind": kind, "dims": [1], "data": [entry]}))
+        assert cli.main(["nearest", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: data[0]: expected {expected}, got {repr(entry)[:100]}...\n"
+        assert len(err.encode()) < 1024
 
     def test_numbers_mixed_with_pairs_are_accepted(self):
         pure = parse_state_document({"kind": "pure", "dims": [4], "data": [0.6, [0, 0.8], 0, 1]})
