@@ -42,6 +42,7 @@ from .io import (
     dump_state_document,
     format_floats,
     load_state_file,
+    remember_state_document,
     render_json,
     state_document,
     to_state,
@@ -106,20 +107,33 @@ def _output(output: str | None):
         raise ValidationError(f"{output}: {exc.strerror}") from exc
 
 
-def _load(path: str, role: str, *kinds: str) -> tuple[StateFile, object]:
-    """The state file at ``path`` and the state it describes.
+class _Inputs:
+    """The state files one command reads: the (path, digest) pair of each, in
+    the order read, and ``timings["load_s"]``, the seconds spent reading,
+    parsing and validating them all."""
 
-    The document's kind is checked against ``kinds`` before any state is
-    built; ``role`` names the command, or the command and option, reading it.
-    """
-    sf = load_state_file(path)
-    if sf.kind not in kinds:
-        accepted = " or ".join(repr(kind) for kind in kinds)
-        hint = ""
-        if sf.kind == "bipartite-pure" and "pure" in kinds:
-            hint = "; use the 'entanglement' command for bipartite input"
-        raise ValidationError(f"{path}: {role} takes kind {accepted}, got {sf.kind!r}{hint}")
-    return sf, to_state(sf)
+    def __init__(self):
+        self.read: list[tuple[str, str]] = []
+        self.timings = {"load_s": 0.0}
+
+    def load(self, path: str, role: str, *kinds: str) -> tuple[StateFile, object]:
+        """The state file at ``path`` and the state it describes.
+
+        The document's kind is checked against ``kinds`` before any state is
+        built; ``role`` names the command, or the command and option, reading it.
+        """
+        started = time.perf_counter()
+        sf = load_state_file(path)
+        if sf.kind not in kinds:
+            accepted = " or ".join(repr(kind) for kind in kinds)
+            hint = ""
+            if sf.kind == "bipartite-pure" and "pure" in kinds:
+                hint = "; use the 'entanglement' command for bipartite input"
+            raise ValidationError(f"{path}: {role} takes kind {accepted}, got {sf.kind!r}{hint}")
+        state = to_state(sf)
+        self.timings["load_s"] += time.perf_counter() - started
+        self.read.append((path, sf.digest))
+        return sf, state
 
 
 def _physical_memory() -> int | None:
@@ -144,8 +158,9 @@ def _require_memory(command: str, flags: str, nbytes: int) -> None:
         )
 
 
-def _wall(started: float) -> dict:
-    return {"wall_s": time.perf_counter() - started}
+def _wall(started: float, timings: dict) -> dict:
+    """``timings`` with the seconds since ``started`` as ``wall_s``."""
+    return {**timings, "wall_s": time.perf_counter() - started}
 
 
 def cmd_measures(args) -> tuple[list, dict | None, int]:
@@ -153,9 +168,10 @@ def cmd_measures(args) -> tuple[list, dict | None, int]:
     from .trace_distance import nearest_incoherent
 
     started = time.perf_counter()
+    inputs = _Inputs()
     loaded = []
     for path in args.input:
-        sf, state = _load(path, "measures", "pure", "mixed")
+        sf, state = inputs.load(path, "measures", "pure", "mixed")
         pure = isinstance(state, PureState)
         names = args.measure or (MEASURE_CHOICES if pure else ("l1", "rel-ent", "tr"))
         if "robustness" in names and not pure:
@@ -205,18 +221,19 @@ def cmd_measures(args) -> tuple[list, dict | None, int]:
         "states": [
             {"kind": sf.kind, "dims": list(sf.dims), "values": values} for sf, _, values in loaded
         ],
-        "timings": _wall(started),
+        "timings": _wall(started, inputs.timings),
     }
-    return [(path, sf.digest) for path, (sf, _, _) in zip(args.input, loaded)], body, EXIT_OK
+    return inputs.read, body, EXIT_OK
 
 
 def cmd_nearest(args) -> tuple[list, dict | None, int]:
     from .trace_distance import nearest_incoherent
 
-    sf, state = _load(args.input, "nearest", "pure")
+    inputs = _Inputs()
+    _, state = inputs.load(args.input, "nearest", "pure")
     started = time.perf_counter()
     result = nearest_incoherent(state)
-    timings = _wall(started)
+    timings = _wall(started, inputs.timings)
     body = {
         "k": result.k,
         "q_k": result.q_k,
@@ -226,14 +243,15 @@ def cmd_nearest(args) -> tuple[list, dict | None, int]:
         "operator_norm_distance": result.mu,
         "timings": timings,
     }
-    return [(args.input, sf.digest)], body, EXIT_OK
+    return inputs.read, body, EXIT_OK
 
 
 def cmd_verify(args) -> tuple[list, dict | None, int]:
     from .certificates import verify_mixed_invertible, verify_pure_optimality
 
-    sf, state = _load(args.input, "verify --input", "pure", "mixed")
-    cf, candidate = _load(args.candidate, "verify --candidate", "incoherent")
+    inputs = _Inputs()
+    sf, state = inputs.load(args.input, "verify --input", "pure", "mixed")
+    _, candidate = inputs.load(args.candidate, "verify --candidate", "incoherent")
     started = time.perf_counter()
     if sf.kind == "pure":
         certificate = asdict(verify_pure_optimality(state, candidate, tol=args.tol))
@@ -241,9 +259,8 @@ def cmd_verify(args) -> tuple[list, dict | None, int]:
     else:
         certificate = asdict(verify_mixed_invertible(state, candidate, tol=args.tol))
         passed = certificate["certified"]
-    body = {"certificate": certificate, "timings": _wall(started)}
-    inputs = [(args.input, sf.digest), (args.candidate, cf.digest)]
-    return inputs, body, EXIT_OK if passed else EXIT_CERTIFICATE
+    body = {"certificate": certificate, "timings": _wall(started, inputs.timings)}
+    return inputs.read, body, EXIT_OK if passed else EXIT_CERTIFICATE
 
 
 def cmd_entanglement(args) -> tuple[list, dict | None, int]:
@@ -255,7 +272,8 @@ def cmd_entanglement(args) -> tuple[list, dict | None, int]:
     )
     from .trace_distance import nearest_incoherent
 
-    sf, state = _load(args.input, "entanglement", "bipartite-pure")
+    inputs = _Inputs()
+    _, state = inputs.load(args.input, "entanglement", "bipartite-pure")
     started = time.perf_counter()
     lam = schmidt_vector(state)
     result = nearest_incoherent(lam)
@@ -266,9 +284,9 @@ def cmd_entanglement(args) -> tuple[list, dict | None, int]:
         "negativity": negativity_pure(lam),
         "e_r": e_r_pure(lam),
         "bound_check": asdict(check_negativity_bound(lam)),
-        "timings": _wall(started),
+        "timings": _wall(started, inputs.timings),
     }
-    return [(args.input, sf.digest)], body, EXIT_OK
+    return inputs.read, body, EXIT_OK
 
 
 def cmd_channel_verify(args) -> tuple[list, dict | None, int]:
@@ -276,29 +294,27 @@ def cmd_channel_verify(args) -> tuple[list, dict | None, int]:
     from .random_states import random_real_separable, random_schmidt_state
 
     rng = np.random.default_rng(args.seed)
-    inputs = []
+    inputs = _Inputs()
     if args.sigma:
-        sf, sigma = _load(args.sigma, "channel-verify --sigma", "mixed")
+        _, sigma = inputs.load(args.sigma, "channel-verify --sigma", "mixed")
         if args.local_dim * args.local_dim != sigma.dim:
             raise ValidationError(
                 f"{args.sigma}: sigma has dimension {sigma.dim}, which is not "
                 f"--local-dim {args.local_dim} squared"
             )
-        inputs.append((args.sigma, sf.digest))
     else:
         # sigma is d^2 x d^2 complex; sampling and validating it hold about four copies.
         _require_memory("channel-verify", f"--local-dim {args.local_dim}", 64 * args.local_dim**4)
         sigma = random_real_separable(args.local_dim, args.terms, rng)
     if args.input:
-        vf, v = _load(args.input, "channel-verify --input", "bipartite-pure")
-        inputs.append((args.input, vf.digest))
+        _, v = inputs.load(args.input, "channel-verify --input", "bipartite-pure")
     else:
         v = random_schmidt_state(args.local_dim, rng)
     started = time.perf_counter()
     check = verify_channel_pipeline(sigma, v, tol=args.tol)
-    body = {"local_dim": args.local_dim, **asdict(check), "timings": _wall(started)}
+    body = {"local_dim": args.local_dim, **asdict(check), "timings": _wall(started, inputs.timings)}
     passed = check.incoherent_ok and check.fixed_point_ok
-    return inputs, body, EXIT_OK if passed else EXIT_CERTIFICATE
+    return inputs.read, body, EXIT_OK if passed else EXIT_CERTIFICATE
 
 
 def cmd_random(args) -> tuple[list, dict | None, int]:
@@ -320,9 +336,12 @@ def cmd_random(args) -> tuple[list, dict | None, int]:
                 data = random_mixed_state(args.n, rng).matrix
             else:
                 data = random_bipartite_pure(m, args.n, rng).amplitudes
-            out.write(dump_state_document(state_document(args.kind, data)))
-            out.write("\n")
-            del data
+            text = dump_state_document(state_document(args.kind, data)) + "\n"
+            out.write(text)
+            if args.output and args.count == 1:
+                # The file holds exactly ``text``, and it parses back to ``data``.
+                remember_state_document(text, args.kind, data)
+            del data, text
     return [], None, EXIT_OK
 
 
@@ -359,7 +378,8 @@ def cmd_bench(args) -> tuple[list, dict | None, int]:
 def cmd_oracle(args) -> tuple[list, dict | None, int]:
     from .oracle import c_tr_grid, c_tr_subgradient
 
-    sf, state = _load(args.input, "oracle", "pure", "mixed")
+    inputs = _Inputs()
+    _, state = inputs.load(args.input, "oracle", "pure", "mixed")
     started = time.perf_counter()
     if args.method == "grid":
         result = c_tr_grid(state, resolution=args.resolution)
@@ -374,9 +394,9 @@ def cmd_oracle(args) -> tuple[list, dict | None, int]:
         "argmin": result.argmin.diag,
         "iterations": result.iterations,
         "converged": result.converged,
-        "timings": _wall(started),
+        "timings": _wall(started, inputs.timings),
     }
-    return [(args.input, sf.digest)], body, EXIT_OK
+    return inputs.read, body, EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):

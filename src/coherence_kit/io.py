@@ -5,6 +5,10 @@ double to round-trip exactly, so write-then-read reproduces amplitudes bit
 for bit. Arrays are written and parsed in whole-array numpy passes; a
 document numpy cannot read as one array goes through the per-entry parser,
 which accepts the same documents and names the first bad entry.
+
+A document of at least ``CACHE_MIN_BYTES`` is parsed once: its validated
+contents are memoized on disk under the sha256 digest of its bytes (see
+``cache``), and a later load of the same bytes reads them back from there.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import cache
 from .core import (
     BipartitePureState,
     DensityMatrix,
@@ -30,6 +35,10 @@ STATE_KINDS = ("pure", "mixed", "bipartite-pure", "incoherent")
 
 # An error message quotes at most this many characters of a bad entry.
 _QUOTE_LIMIT = 100
+
+# Documents of at least this size go through the parse cache. A smaller one
+# parses in milliseconds (6 ms at 240 KB), so it is not worth an entry.
+CACHE_MIN_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,11 +221,20 @@ def _parse_int(literal: str):
 
 
 def load_state_file(path) -> StateFile:
-    """Read, parse and hash a state file; the file is read once."""
+    """Read, parse and hash a state file; the file is read once.
+
+    A document of at least ``CACHE_MIN_BYTES`` whose bytes were parsed before
+    is read back from the parse cache instead of parsed again.
+    """
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
+    digest = hashlib.sha256(raw).hexdigest()
+    cacheable = len(raw) >= CACHE_MIN_BYTES
+    sf = _cached_state_file(digest) if cacheable else None
+    if sf is not None:
+        return sf
     try:
         doc = json.loads(raw.decode("utf-8"), parse_int=_parse_int)
     except UnicodeDecodeError as exc:
@@ -230,7 +248,45 @@ def load_state_file(path) -> StateFile:
     # JSON has no bool but the literals true and false.
     may_hold_bools = b"true" in raw or b"false" in raw
     sf = parse_state_document(doc, source=str(path), may_hold_bools=may_hold_bools)
-    return replace(sf, digest=hashlib.sha256(raw).hexdigest())
+    if cacheable:
+        cache.store(digest, sf.kind, sf.data)
+    return replace(sf, digest=digest)
+
+
+def _cached_state_file(digest: str) -> StateFile | None:
+    """The StateFile the parse cache holds under ``digest``, or None when
+    there is no entry or its array lacks the dtype, rank or shape a parse of
+    its kind gives."""
+    entry = cache.lookup(digest)
+    if entry is None or entry[0] not in STATE_KINDS:
+        return None
+    kind, data = entry
+    if (
+        data.dtype != _dtype(kind)
+        or data.ndim != (2 if kind in ("mixed", "bipartite-pure") else 1)
+        or not data.size
+        or (kind == "mixed" and data.shape[0] != data.shape[1])
+    ):
+        return None
+    dims = data.shape if kind == "bipartite-pure" else data.shape[:1]
+    return StateFile(kind=kind, dims=dims, data=data, digest=digest)
+
+
+def _dtype(kind: str) -> type:
+    return float if kind == "incoherent" else complex
+
+
+def remember_state_document(text: str, kind: str, data: np.ndarray) -> None:
+    """Put into the parse cache that the document ``text`` holds ``data``.
+
+    ``text`` is a whole state file as written, ``dump_state_document(
+    state_document(kind, data)) + "\n"``, whose parse returns ``data`` bit
+    for bit; a later ``load_state_file`` of that file then skips the parse.
+    """
+    raw = text.encode("utf-8")
+    if len(raw) >= CACHE_MIN_BYTES:
+        data = np.ascontiguousarray(data, dtype=_dtype(kind))
+        cache.store(hashlib.sha256(raw).hexdigest(), kind, data)
 
 
 def state_document(kind: str, data: np.ndarray) -> dict:

@@ -210,9 +210,14 @@ def c_tr_grid(rho, resolution: int) -> OracleResult:
         raise ValidationError(f"grid oracle supports n <= 4, got n = {shape[0]}")
     a = as_density_matrix(rho).matrix
     n = a.shape[0]
-    if resolution < 1:
+    try:
+        whole = int(resolution) == resolution
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole or resolution < 1:
         raise ValidationError("resolution must be a positive integer")
-    lattice_size = math.comb(int(resolution) + n - 1, n - 1)
+    resolution = int(resolution)
+    lattice_size = math.comb(resolution + n - 1, n - 1)
     if lattice_size > _GRID_MAX_POINTS:
         raise ValidationError(
             f"grid oracle lattice at n = {n}, resolution {resolution} has {lattice_size} "
@@ -223,7 +228,7 @@ def c_tr_grid(rho, resolution: int) -> OracleResult:
     best_point: np.ndarray | None = None
     count = 0
     diag_idx = np.arange(n)
-    points = _lattice_points(n, int(resolution))
+    points = _lattice_points(n, resolution)
     while True:
         block = list(itertools.islice(points, _GRID_CHUNK))
         if not block:

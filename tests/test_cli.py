@@ -907,6 +907,8 @@ class TestLargeStateFiles:
         monkeypatch.setattr(state_io, "_parse_real", forbidden)
         monkeypatch.setattr(state_io, "_holds_bool", forbidden)
         monkeypatch.setattr(state_io, "_encode_complex", forbidden, raising=False)
+        # The whole-array parse is under test here: no load may skip it through the parse cache.
+        monkeypatch.setattr(state_io, "CACHE_MIN_BYTES", float("inf"))
         path = tmp_path / "x.json"
         argv = ["random", "--kind", "pure", "--n", "100000", "--seed", "123", "--output", str(path)]
         assert cli.main(argv) == 0

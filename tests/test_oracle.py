@@ -296,6 +296,13 @@ class TestGrid:
         with pytest.raises(ValidationError, match="resolution"):
             c_tr_grid(DensityMatrix(np.eye(2) / 2), resolution=0)
 
+    def test_resolution_must_be_a_whole_number(self):
+        # A fractional resolution once walked the lattice of its integer part
+        # but divided by the fraction, and failed on the sum of the point.
+        with pytest.raises(ValidationError, match="resolution must be a positive integer"):
+            c_tr_grid(PureState([0.8, 0.6]), resolution=2.5)
+        assert c_tr_grid(PureState([0.8, 0.6]), resolution=2.0).iterations == 3
+
     def test_lattice_count(self):
         result = c_tr_grid(DensityMatrix(np.eye(2) / 2), resolution=10)
         assert result.iterations == 11

@@ -15,6 +15,7 @@ import pytest
 
 import coherence_kit
 from coherence_kit import cli
+from coherence_kit import io as state_io
 from coherence_kit.io import write_state_file
 from coherence_kit.trace_distance import nearest_incoherent
 
@@ -128,6 +129,23 @@ class TestCliImports:
             "coherence_kit.oracle",
             "coherence_kit.entanglement",
         )
+
+
+    def test_parse_cache_miss_and_hit_load_no_further_module(self, pure_files, tmp_path):
+        # A document of at least CACHE_MIN_BYTES, so the call takes the cache path.
+        amplitudes = np.random.default_rng(3).standard_normal((30_000, 2)).view(complex)[:, 0]
+        big = tmp_path / "big.json"
+        write_state_file(big, "pure", amplitudes / np.linalg.norm(amplitudes))
+        assert big.stat().st_size >= state_io.CACHE_MIN_BYTES
+        entries = pathlib.Path(os.environ["XDG_CACHE_HOME"]) / "coherence-kit"
+        small = set(cli_call("nearest", "--input", pure_files[0])["modules"])
+        miss = set(cli_call("nearest", "--input", str(big))["modules"])
+        (entry,) = entries.iterdir()
+        os.utime(entry, ns=(10**9, 10**9))
+        hit = set(cli_call("nearest", "--input", str(big))["modules"])
+        assert entry.stat().st_mtime_ns > 10**9  # the second call read the entry
+        assert miss - small == set()
+        assert hit - small == set()
 
 
 class TestGcPolicy:
