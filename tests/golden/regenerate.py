@@ -23,7 +23,7 @@ import numpy as np
 
 from coherence_kit import cli
 from coherence_kit.io import write_state_file
-from coherence_kit.random_states import random_pure_state
+from coherence_kit.random_states import random_mixed_state, random_pure_state
 from coherence_kit.trace_distance import nearest_incoherent
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -58,10 +58,14 @@ def write_inputs() -> None:
     write_state_file(inputs / "qutrit-shifted.json", "incoherent", shifted)
     bell = np.eye(2, dtype=complex) / np.sqrt(2.0)
     write_state_file(inputs / "bell.json", "bipartite-pure", bell)
+    schmidt = np.diag(np.sqrt([0.4, 0.3, 0.2, 0.1])).astype(complex)
+    write_state_file(inputs / "schmidt-4x4.json", "bipartite-pure", schmidt)
+    mixed = random_mixed_state(3, np.random.default_rng(11)).matrix
+    write_state_file(inputs / "mixed-3.json", "mixed", mixed)
 
 
 def cases() -> list[dict]:
-    """Name, argv and whether its floats derive from an SVD, per case."""
+    """Name, argv and whether its floats come from a LAPACK call, per case."""
     runs = []
     for command in ("nearest", "measures"):
         for name in PURE_INPUTS:
@@ -72,11 +76,27 @@ def cases() -> list[dict]:
         runs.append((f"verify-qutrit-{candidate}", argv, False))
     # Every float of the entanglement report derives from an SVD.
     runs.append(("entanglement-bell", ["entanglement", "--input", "inputs/bell.json"], True))
-    return [
-        {"name": f"{name}.{fmt}", "argv": [*argv, "--format", fmt], "svd": svd}
-        for name, argv, svd in runs
+    # The fixed-point distance is a sum of eigenvalues.
+    argv = ["channel-verify", "--local-dim", "3", "--seed", "7"]
+    runs.append(("channel-verify-d3-seed7", argv, True))
+    # Each lattice point's trace distance is a sum of eigenvalues.
+    argv = ["oracle", "--method", "grid", "--input", "inputs/qutrit.json"]
+    runs.append(("oracle-grid-qutrit", argv, True))
+    # Entropy and oracle of a mixed state are computed from eigenvalues.
+    argv = ["measures", "--max-iters", "50", "--input", "inputs/mixed-3.json"]
+    runs.append(("measures-mixed-3", argv, True))
+    # A 4 x 4 state against the default --local-dim 3: exit 1, nothing on stdout.
+    argv = ["channel-verify", "--input", "inputs/schmidt-4x4.json"]
+    runs.append(("channel-verify-input-dim-mismatch", argv, False))
+    table = [
+        {"name": f"{name}.{fmt}", "argv": [*argv, "--format", fmt], "lapack": lapack}
+        for name, argv, lapack in runs
         for fmt in ("json", "table")
     ]
+    # ``random`` writes state documents, which have one format.
+    argv = ["random", "--n", "3", "--seed", "1"]
+    table.append({"name": "random-pure-3", "argv": argv, "lapack": False})
+    return table
 
 
 def run_case(argv: list[str]) -> tuple[int, str]:

@@ -2,9 +2,10 @@
 
 Each case in ``tests/golden/cases.json`` is one ``cli.main`` call; its stdout,
 with the timings masked, must equal the stored report and its exit code the
-stored code. Floats compare exactly, except in reports whose floats all derive
-from an SVD: those compare within 1e-12 relative, so the corpus survives
-another LAPACK build. ``tests/golden/regenerate.py`` rewrites the corpus.
+stored code. Floats compare exactly, except in cases flagged ``lapack``, whose
+floats come from a LAPACK call (an SVD or an eigendecomposition): those
+compare within 1e-12 relative, so the corpus survives another LAPACK build.
+``tests/golden/regenerate.py`` rewrites the corpus.
 """
 
 import importlib.util
@@ -25,8 +26,8 @@ _spec.loader.exec_module(regenerate)
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
 
-def assert_same_report(actual: str, expected: str, svd: bool) -> None:
-    if not svd:
+def assert_same_report(actual: str, expected: str, lapack: bool) -> None:
+    if not lapack:
         assert actual == expected
         return
     assert NUMBER.split(actual) == NUMBER.split(expected)
@@ -39,4 +40,4 @@ def test_report_matches_golden(case):
     code, stdout = regenerate.run_case(case["argv"])
     assert code == case["exit_code"]
     expected = (GOLDEN / "reports" / f"{case['name']}.out").read_text()
-    assert_same_report(stdout, expected, case["svd"])
+    assert_same_report(stdout, expected, case["lapack"])
