@@ -31,8 +31,6 @@ _SUBMODULE_NAMES = {
         "as_density_matrix",
         "as_incoherent_state",
         "hermitian_eig",
-        "trace_norm",
-        "operator_norm",
         "partial_transpose",
         "is_ppt",
     ),
@@ -64,13 +62,10 @@ _SUBMODULE_NAMES = {
         "c_tr_grid",
     ),
     "measures": (
-        "L1RelEntCheck",
         "c_l1",
         "von_neumann_entropy",
         "c_rel_entropy",
         "c_robustness_pure",
-        "f_gap",
-        "check_l1_vs_relent",
     ),
     "entanglement": (
         "SchmidtData",
@@ -80,7 +75,6 @@ _SUBMODULE_NAMES = {
         "as_bipartite_pure",
         "schmidt",
         "schmidt_vector",
-        "achieving_separable_state",
         "negativity_pure",
         "e_r_pure",
         "check_negativity_bound",

@@ -2,12 +2,14 @@
 entanglement reports, channel verification, random generation, benchmarks.
 
 Every command takes one path: the arguments are parsed, the handler loads
-and checks its inputs, and ``main`` wraps the body of the report in the
-report envelope and renders it as JSON or as a table. A handler returns
-``(inputs, body, code)``: the (path, digest) pair of each file it read, the
-report body (None for ``random``, which writes state files itself) and the
-exit code. A handler imports the layers it runs when it runs, so a call loads
-only its own command's modules.
+and checks its inputs through the ``_Inputs`` that ``main`` gives it, and
+``main`` wraps the body of the report in the report envelope and renders it
+as JSON or as a table. A handler returns ``(body, code)``: the report body
+(None for ``random``, which writes state files itself) and the exit code.
+``main`` times the handler call and ends every report with
+``timings = {load_s, wall_s}``: the seconds spent loading the inputs, and
+the rest of the handler's time. A handler imports the layers it runs when it
+runs, so a call loads only its own command's modules.
 
 Exit codes form a stable scripting contract: 0 success, 1 validation failure
 (a usage error included) or an input too large for the memory available, 2 a
@@ -109,12 +111,12 @@ def _output(output: str | None):
 
 class _Inputs:
     """The state files one command reads: the (path, digest) pair of each, in
-    the order read, and ``timings["load_s"]``, the seconds spent reading,
-    parsing and validating them all."""
+    the order read, and ``load_s``, the seconds spent reading, parsing and
+    validating them all."""
 
     def __init__(self):
         self.read: list[tuple[str, str]] = []
-        self.timings = {"load_s": 0.0}
+        self.load_s = 0.0
 
     def load(self, path: str, role: str, *kinds: str) -> tuple[StateFile, object]:
         """The state file at ``path`` and the state it describes.
@@ -131,7 +133,7 @@ class _Inputs:
                 hint = "; use the 'entanglement' command for bipartite input"
             raise ValidationError(f"{path}: {role} takes kind {accepted}, got {sf.kind!r}{hint}")
         state = to_state(sf)
-        self.timings["load_s"] += time.perf_counter() - started
+        self.load_s += time.perf_counter() - started
         self.read.append((path, sf.digest))
         return sf, state
 
@@ -158,17 +160,10 @@ def _require_memory(command: str, flags: str, nbytes: int) -> None:
         )
 
 
-def _wall(started: float, timings: dict) -> dict:
-    """``timings`` with the seconds since ``started`` as ``wall_s``."""
-    return {**timings, "wall_s": time.perf_counter() - started}
-
-
-def cmd_measures(args) -> tuple[list, dict | None, int]:
+def cmd_measures(args, inputs: _Inputs) -> tuple[dict | None, int]:
     from .measures import c_l1, c_rel_entropy, c_robustness_pure
     from .trace_distance import nearest_incoherent
 
-    started = time.perf_counter()
-    inputs = _Inputs()
     loaded = []
     for path in args.input:
         sf, state = inputs.load(path, "measures", "pure", "mixed")
@@ -221,19 +216,15 @@ def cmd_measures(args) -> tuple[list, dict | None, int]:
         "states": [
             {"kind": sf.kind, "dims": list(sf.dims), "values": values} for sf, _, values in loaded
         ],
-        "timings": _wall(started, inputs.timings),
     }
-    return inputs.read, body, EXIT_OK
+    return body, EXIT_OK
 
 
-def cmd_nearest(args) -> tuple[list, dict | None, int]:
+def cmd_nearest(args, inputs: _Inputs) -> tuple[dict | None, int]:
     from .trace_distance import nearest_incoherent
 
-    inputs = _Inputs()
     _, state = inputs.load(args.input, "nearest", "pure")
-    started = time.perf_counter()
     result = nearest_incoherent(state)
-    timings = _wall(started, inputs.timings)
     body = {
         "k": result.k,
         "q_k": result.q_k,
@@ -241,60 +232,49 @@ def cmd_nearest(args) -> tuple[list, dict | None, int]:
         "mu": result.mu,
         "c_tr": result.c_tr,
         "operator_norm_distance": result.mu,
-        "timings": timings,
     }
-    return inputs.read, body, EXIT_OK
+    return body, EXIT_OK
 
 
-def cmd_verify(args) -> tuple[list, dict | None, int]:
+def cmd_verify(args, inputs: _Inputs) -> tuple[dict | None, int]:
     from .certificates import verify_mixed_invertible, verify_pure_optimality
 
-    inputs = _Inputs()
     sf, state = inputs.load(args.input, "verify --input", "pure", "mixed")
     _, candidate = inputs.load(args.candidate, "verify --candidate", "incoherent")
-    started = time.perf_counter()
     if sf.kind == "pure":
         certificate = asdict(verify_pure_optimality(state, candidate, tol=args.tol))
         passed = certificate["optimal"]
     else:
         certificate = asdict(verify_mixed_invertible(state, candidate, tol=args.tol))
         passed = certificate["certified"]
-    body = {"certificate": certificate, "timings": _wall(started, inputs.timings)}
-    return inputs.read, body, EXIT_OK if passed else EXIT_CERTIFICATE
+    return {"certificate": certificate}, EXIT_OK if passed else EXIT_CERTIFICATE
 
 
-def cmd_entanglement(args) -> tuple[list, dict | None, int]:
-    from .entanglement import (
-        check_negativity_bound,
-        e_r_pure,
-        negativity_pure,
-        schmidt_vector,
-    )
+def cmd_entanglement(args, inputs: _Inputs) -> tuple[dict | None, int]:
+    from .entanglement import check_negativity_bound, schmidt_vector
     from .trace_distance import nearest_incoherent
 
-    inputs = _Inputs()
     _, state = inputs.load(args.input, "entanglement", "bipartite-pure")
-    started = time.perf_counter()
     lam = schmidt_vector(state)
     result = nearest_incoherent(lam)
+    check = check_negativity_bound(lam)
     body = {
         "schmidt_coefficients": lam.amplitudes.real,
         "e_tr": result.c_tr,
         "nearest_schmidt_weights": result.nearest.diag,
-        "negativity": negativity_pure(lam),
-        "e_r": e_r_pure(lam),
-        "bound_check": asdict(check_negativity_bound(lam)),
-        "timings": _wall(started, inputs.timings),
+        # N = C_l1(lambda) / 2 and E_r = C_r(lambda), as the bound check computed them.
+        "negativity": check.two_n / 2.0,
+        "e_r": check.e_r,
+        "bound_check": asdict(check),
     }
-    return inputs.read, body, EXIT_OK
+    return body, EXIT_OK
 
 
-def cmd_channel_verify(args) -> tuple[list, dict | None, int]:
+def cmd_channel_verify(args, inputs: _Inputs) -> tuple[dict | None, int]:
     from .entanglement import verify_channel_pipeline
     from .random_states import random_real_separable, random_schmidt_state
 
-    rng = np.random.default_rng(args.seed)
-    inputs = _Inputs()
+    sigma = v = None
     if args.sigma:
         _, sigma = inputs.load(args.sigma, "channel-verify --sigma", "mixed")
         if args.local_dim * args.local_dim != sigma.dim:
@@ -302,22 +282,28 @@ def cmd_channel_verify(args) -> tuple[list, dict | None, int]:
                 f"{args.sigma}: sigma has dimension {sigma.dim}, which is not "
                 f"--local-dim {args.local_dim} squared"
             )
-    else:
+    if args.input:
+        _, v = inputs.load(args.input, "channel-verify --input", "bipartite-pure")
+        if v.dims != (args.local_dim, args.local_dim):
+            m, n = v.dims
+            raise ValidationError(
+                f"{args.input}: input state has dimensions {m} x {n}, which is not "
+                f"--local-dim {args.local_dim} x {args.local_dim}"
+            )
+    # Both files are checked before anything is sampled; sigma is drawn before v.
+    rng = np.random.default_rng(args.seed)
+    if sigma is None:
         # sigma is d^2 x d^2 complex; sampling and validating it hold about four copies.
         _require_memory("channel-verify", f"--local-dim {args.local_dim}", 64 * args.local_dim**4)
         sigma = random_real_separable(args.local_dim, args.terms, rng)
-    if args.input:
-        _, v = inputs.load(args.input, "channel-verify --input", "bipartite-pure")
-    else:
+    if v is None:
         v = random_schmidt_state(args.local_dim, rng)
-    started = time.perf_counter()
     check = verify_channel_pipeline(sigma, v, tol=args.tol)
-    body = {"local_dim": args.local_dim, **asdict(check), "timings": _wall(started, inputs.timings)}
     passed = check.incoherent_ok and check.fixed_point_ok
-    return inputs.read, body, EXIT_OK if passed else EXIT_CERTIFICATE
+    return {"local_dim": args.local_dim, **asdict(check)}, EXIT_OK if passed else EXIT_CERTIFICATE
 
 
-def cmd_random(args) -> tuple[list, dict | None, int]:
+def cmd_random(args, inputs: _Inputs) -> tuple[dict | None, int]:
     from .random_states import random_bipartite_pure, random_mixed_state, random_pure_state
 
     m = args.m or args.n
@@ -342,10 +328,10 @@ def cmd_random(args) -> tuple[list, dict | None, int]:
                 # The file holds exactly ``text``, and it parses back to ``data``.
                 remember_state_document(text, args.kind, data)
             del data, text
-    return [], None, EXIT_OK
+    return None, EXIT_OK
 
 
-def cmd_bench(args) -> tuple[list, dict | None, int]:
+def cmd_bench(args, inputs: _Inputs) -> tuple[dict | None, int]:
     from .random_states import random_pure_state
     from .trace_distance import nearest_incoherent
 
@@ -372,15 +358,13 @@ def cmd_bench(args) -> tuple[list, dict | None, int]:
         slope = float(np.polyfit(logs_n, logs_t, 1)[0])
         body["loglog_slope"] = slope
         body["scaling_consistent_with_nlogn"] = bool(0.9 <= slope <= 1.3)
-    return [], body, EXIT_OK
+    return body, EXIT_OK
 
 
-def cmd_oracle(args) -> tuple[list, dict | None, int]:
+def cmd_oracle(args, inputs: _Inputs) -> tuple[dict | None, int]:
     from .oracle import c_tr_grid, c_tr_subgradient
 
-    inputs = _Inputs()
     _, state = inputs.load(args.input, "oracle", "pure", "mixed")
-    started = time.perf_counter()
     if args.method == "grid":
         result = c_tr_grid(state, resolution=args.resolution)
     else:
@@ -394,9 +378,8 @@ def cmd_oracle(args) -> tuple[list, dict | None, int]:
         "argmin": result.argmin.diag,
         "iterations": result.iterations,
         "converged": result.converged,
-        "timings": _wall(started, inputs.timings),
     }
-    return inputs.read, body, EXIT_OK
+    return body, EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -505,16 +488,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    inputs = _Inputs()
     try:
-        inputs, body, code = args.handler(args)
+        started = time.perf_counter()
+        body, code = args.handler(args, inputs)
+        handler_s = time.perf_counter() - started
         if body is not None:
             report = {
                 "tool": "coherence-kit",
                 "version": __version__,
                 "command": args.command,
                 "seed": getattr(args, "seed", None),
-                "inputs": [{"path": path, "digest": digest} for path, digest in inputs],
+                "inputs": [{"path": path, "digest": digest} for path, digest in inputs.read],
                 **body,
+                "timings": {"load_s": inputs.load_s, "wall_s": handler_s - inputs.load_s},
             }
             if args.format == "table":
                 text = "".join(f"{key} = {value}\n" for key, value in _flatten(report))

@@ -275,18 +275,6 @@ def hermitian_eig(matrix) -> SpectralDecomposition:
     return SpectralDecomposition(w[::-1].copy(), v[:, ::-1].copy())
 
 
-def trace_norm(matrix) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    w = np.linalg.eigvalsh(_hermitian_matrix(matrix, DEFAULT_TOLERANCES.spectral, "matrix"))
-    return float(np.abs(w).sum())
-
-
-def operator_norm(matrix) -> float:
-    """Largest absolute eigenvalue of a Hermitian matrix."""
-    w = np.linalg.eigvalsh(_hermitian_matrix(matrix, DEFAULT_TOLERANCES.spectral, "matrix"))
-    return float(np.abs(w).max())
-
-
 def _require_bipartite_square(matrix, local_dim: int, what: str) -> np.ndarray:
     """``matrix`` as a complex array that acts on a d (x) d space, d = ``local_dim``."""
     m = np.asarray(matrix, dtype=complex)

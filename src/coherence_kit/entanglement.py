@@ -29,7 +29,6 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES
 from .core import (
     BipartitePureState,
-    DensityMatrix,
     DimensionMismatchError,
     PureState,
     ValidationError,
@@ -38,7 +37,6 @@ from .core import (
     is_ppt,
 )
 from .measures import _offdiag_mass, c_l1, c_rel_entropy
-from .trace_distance import nearest_incoherent
 
 
 class ChannelConstructionError(ValidationError):
@@ -97,19 +95,6 @@ def schmidt_vector(v) -> PureState:
     if isinstance(v, PureState):
         return v
     return PureState(np.linalg.svd(as_bipartite_pure(v).amplitudes, compute_uv=False))
-
-
-def achieving_separable_state(v) -> DensityMatrix:
-    """The separable state attaining the trace distance of entanglement.
-
-    Embeds the optimal incoherent state of the Schmidt vector diagonally into
-    the Schmidt product basis: sigma = sum_i delta_i |u_i w_i><u_i w_i|, one
-    product K diag(delta) K^dagger of the stacked Schmidt kets K.
-    """
-    data = schmidt(v)
-    weights = nearest_incoherent(PureState(data.coefficients)).nearest.diag
-    kets = (data.left[:, None, :] * data.right[None, :, :]).reshape(-1, weights.size)
-    return DensityMatrix((kets * weights) @ kets.conj().T)
 
 
 def negativity_pure(v) -> float:

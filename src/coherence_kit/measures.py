@@ -2,35 +2,21 @@
 
 All logarithms are base 2.  On a ``PureState`` every measure is a closed form
 in the amplitude moduli and costs O(n); only ``DensityMatrix`` input goes
-through the dense n x n computation.  The inequality helpers expose the chain
-C_l1 >= max{C_r, 2^C_r - 1} for pure states and the non-negativity of the
-simplex function (sum_i sqrt(p_i))^2 - 1 + sum_i p_i log2 p_i whose sign is
-what makes that chain work.
+through the dense n x n computation.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .core import (
     NumericalDriftWarning,
     PureState,
-    _probability_vector,
     as_density_matrix,
     as_pure_state,
 )
-
-
-@dataclass(frozen=True)
-class L1RelEntCheck:
-    c_l1: float
-    c_r: float
-    lower: float
-    holds: bool
 
 
 def _entropy_bits(weights: np.ndarray) -> float:
@@ -98,29 +84,3 @@ def c_rel_entropy(rho) -> float:
 def c_robustness_pure(x) -> float:
     """Robustness of coherence of a pure state, which equals its l1 coherence."""
     return c_l1(as_pure_state(x))
-
-
-def f_gap(p) -> float:
-    """(sum_i sqrt(p_i))^2 - 1 + sum_i p_i log2 p_i on a probability vector.
-
-    Non-negative on the whole simplex; zero at point masses and at the uniform
-    two-outcome vector.
-    """
-    vec = _probability_vector(p, "probability vector")
-    support = vec[vec > 0.0]
-    root_sum = float(np.sum(np.sqrt(support)))
-    return root_sum * root_sum - 1.0 + float(support @ np.log2(support))
-
-
-def check_l1_vs_relent(x) -> L1RelEntCheck:
-    """Evaluate C_l1 >= max{C_r, 2^C_r - 1} for a pure state."""
-    state = as_pure_state(x)
-    value_l1 = c_l1(state)
-    value_r = c_rel_entropy(state)
-    lower = max(value_r, 2.0**value_r - 1.0)
-    return L1RelEntCheck(
-        c_l1=value_l1,
-        c_r=value_r,
-        lower=lower,
-        holds=value_l1 >= lower - DEFAULT_TOLERANCES.construction,
-    )

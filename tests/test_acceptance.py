@@ -14,21 +14,17 @@ from coherence_kit import (
     PureState,
     c_tr_grid,
     c_tr_subgradient_many,
-    check_l1_vs_relent,
     check_negativity_bound,
     cli,
     diagonal_twirl,
-    f_gap,
     is_ppt,
     max_coherence_bound,
     nearest_incoherent,
     negativity_pure,
     omega_kraus_operators,
-    trace_norm,
     verify_channel_pipeline,
     verify_pure_optimality,
 )
-from coherence_kit.entanglement import achieving_separable_state
 from coherence_kit.random_states import (
     random_mixed_state,
     random_pure_state,
@@ -36,6 +32,7 @@ from coherence_kit.random_states import (
     random_schmidt_state,
     random_simplex_point,
 )
+from dense_reference import achieving_separable_state, check_l1_vs_relent, f_gap, trace_norm
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -11,11 +11,11 @@ from coherence_kit import (
     c_tr_grid,
     canonicalize,
     nearest_incoherent,
-    trace_norm,
     verify_mixed_invertible,
     verify_pure_optimality,
 )
 from coherence_kit.random_states import random_pure_state
+from dense_reference import trace_norm
 
 QUTRIT = PureState([2 / 3, 2 / 3, 1 / 3])
 

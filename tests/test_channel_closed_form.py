@@ -19,7 +19,6 @@ from coherence_kit.entanglement import (
     _omega_weights,
     _pure_twirl_entries,
     _twirl_entries,
-    achieving_separable_state,
     apply_kraus,
     diagonal_twirl,
     omega_kraus_operators,
@@ -30,6 +29,7 @@ from coherence_kit.random_states import (
     random_real_separable,
     random_schmidt_state,
 )
+from dense_reference import achieving_separable_state
 
 TOL = DEFAULT_TOLERANCES.channel
 

@@ -4,12 +4,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from coherence_kit import cli, oracle, random_states, trace_distance
+from coherence_kit import cli, entanglement, oracle, random_states, trace_distance
 from coherence_kit import io as state_io
 from coherence_kit.core import PureState, ValidationError
 from coherence_kit.io import (
@@ -402,6 +403,23 @@ class TestEntanglementCommand:
         assert calls == [(5, 4)]
         assert report["negativity"] == pytest.approx(report["bound_check"]["two_n"] / 2, rel=1e-15)
 
+    def test_negativity_and_e_r_computed_once(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "v.json"
+        write_state_file(path, "bipartite-pure", np.diag([0.8, 0.6]))
+        calls = Counter()
+        for name in ("c_l1", "c_rel_entropy"):
+
+            def counted(*args, _name=name, _real=getattr(entanglement, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(entanglement, name, counted)
+        code, report = run_json(["entanglement", "--input", str(path)], capsys)
+        assert code == 0
+        assert calls == Counter({"c_l1": 1, "c_rel_entropy": 1})
+        assert report["negativity"] == report["bound_check"]["two_n"] / 2
+        assert report["e_r"] == report["bound_check"]["e_r"]
+
 
 class TestRandomCommand:
     def test_byte_identical_given_seed(self, capsys):
@@ -564,6 +582,25 @@ class TestChannelVerifyCommand:
         )
         assert code == 0
         assert report["incoherent_ok"] is True
+
+    def test_input_dimensions_must_match_local_dim(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "v4.json"
+        write_state_file(path, "bipartite-pure", np.diag(np.sqrt([0.4, 0.3, 0.2, 0.1])))
+
+        def refuse(*args):
+            raise AssertionError("sigma sampled before the input was checked")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(random_states, "random_real_separable", refuse)
+            assert cli.main(["channel-verify", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: input state has dimensions 4 x 4, which is not --local-dim 3 x 3\n"
+        )
+        code, report = run_json(["channel-verify", "--input", str(path), "--local-dim", "4"], capsys)
+        assert code == 0
+        assert report["fixed_point_ok"] is True
 
 
 class TestTableFormat:
@@ -894,6 +931,52 @@ class TestInputDigest:
         code = cli.main(["measures", "--input", x, "--input", str(tmp_path / "nope.json")])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'nope.json'}: ")
+
+
+class TestTimings:
+    """Every report ends with ``timings = {load_s, wall_s}``: ``load_s`` covers
+    the loading of every input, and ``wall_s`` the rest of the handler."""
+
+    DELAY_S = 0.2
+
+    @pytest.mark.parametrize(
+        "command",
+        ["measures", "nearest", "verify", "entanglement", "oracle", "channel-verify", "bench"],
+    )
+    def test_load_is_in_load_s_and_not_in_wall_s(self, tmp_path, capsys, monkeypatch, command):
+        x = write_pure(tmp_path / "x.json", [0.8, 0.6])
+        y = write_pure(tmp_path / "y.json", [2 / 3, 2 / 3, 1 / 3])
+        d = tmp_path / "d.json"
+        write_state_file(d, "incoherent", np.array([0.64, 0.36]))
+        v = tmp_path / "v.json"
+        write_state_file(v, "bipartite-pure", np.diag([0.8, 0.6]))
+        sigma = tmp_path / "sigma.json"
+        write_state_file(sigma, "mixed", random_real_separable(2, 4, np.random.default_rng(13)).matrix)
+        argv, files = {
+            "measures": (["measures", "--input", x, "--input", y], 2),
+            "nearest": (["nearest", "--input", x], 1),
+            "verify": (["verify", "--input", x, "--candidate", str(d)], 2),
+            "entanglement": (["entanglement", "--input", str(v)], 1),
+            "oracle": (["oracle", "--input", x, "--max-iters", "50"], 1),
+            "channel-verify": (
+                ["channel-verify", "--sigma", str(sigma), "--input", str(v), "--local-dim", "2"], 2,
+            ),
+            "bench": (["bench", "--sizes", "10", "--repetitions", "1"], 0),
+        }[command]
+        load = cli.load_state_file
+
+        def slow_load(path):
+            time.sleep(self.DELAY_S)
+            return load(path)
+
+        monkeypatch.setattr(cli, "load_state_file", slow_load)
+        code, report = run_json(argv, capsys)
+        assert code == 0
+        assert list(report)[-1] == "timings"
+        timings = report["timings"]
+        assert set(timings) == {"load_s", "wall_s"}
+        assert timings["load_s"] >= self.DELAY_S * files
+        assert 0.0 <= timings["wall_s"] < self.DELAY_S
 
 
 class TestLargeStateFiles:

@@ -12,10 +12,9 @@ from coherence_kit import (
     hermitian_eig,
     is_ppt,
     nearest_incoherent,
-    operator_norm,
     partial_transpose,
-    trace_norm,
 )
+from dense_reference import operator_norm, trace_norm
 
 QUTRIT = PureState([2 / 3, 2 / 3, 1 / 3])
 QUTRIT_DIFF = QUTRIT.projector() - np.diag([0.5, 0.5, 0.0])

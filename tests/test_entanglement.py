@@ -5,7 +5,6 @@ from coherence_kit import (
     BipartitePureState,
     PureState,
     ValidationError,
-    achieving_separable_state,
     apply_kraus,
     c_l1,
     c_rel_entropy,
@@ -20,7 +19,6 @@ from coherence_kit import (
     partial_transpose,
     schmidt,
     schmidt_vector,
-    trace_norm,
     verify_channel_pipeline,
 )
 from coherence_kit.random_states import (
@@ -29,6 +27,7 @@ from coherence_kit.random_states import (
     random_real_separable,
     random_schmidt_state,
 )
+from dense_reference import achieving_separable_state, trace_norm
 
 BELL = BipartitePureState(np.eye(2) / np.sqrt(2))
 QUTRIT_COEFFS = np.array([2 / 3, 2 / 3, 1 / 3])

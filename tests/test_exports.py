@@ -20,11 +20,6 @@ TRACING = PACKAGE.parents[1] / "perfbench" / "tracing.py"
 WITHOUT_CALLER = {
     "breakpoint_shortcuts": "ROADMAP item 1",
     "max_coherence_bound": "ROADMAP item 1",
-    "trace_norm": "ROADMAP item 9",
-    "operator_norm": "ROADMAP item 9",
-    "f_gap": "ROADMAP item 9",
-    "check_l1_vs_relent": "ROADMAP item 9",
-    "achieving_separable_state": "ROADMAP item 9",
 }
 
 

@@ -12,14 +12,13 @@ from coherence_kit import (
     c_l1,
     c_rel_entropy,
     c_robustness_pure,
-    check_l1_vs_relent,
-    f_gap,
     von_neumann_entropy,
 )
 from coherence_kit.random_states import (
     random_pure_state,
     random_simplex_point,
 )
+from dense_reference import check_l1_vs_relent, f_gap
 
 QUTRIT = PureState([2 / 3, 2 / 3, 1 / 3])
 

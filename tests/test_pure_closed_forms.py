@@ -20,11 +20,11 @@ from coherence_kit import (
     c_rel_entropy,
     c_robustness_pure,
     canonicalize,
-    check_l1_vs_relent,
     nearest_incoherent,
     verify_pure_optimality,
 )
 from coherence_kit.random_states import random_pure_state
+from dense_reference import check_l1_vs_relent
 
 REL = 1e-12
 ABS = 1e-12

@@ -9,11 +9,10 @@ from coherence_kit import (
     find_k,
     max_coherence_bound,
     nearest_incoherent,
-    operator_norm,
     prefix_stats,
-    trace_norm,
 )
 from coherence_kit.random_states import random_pure_state
+from dense_reference import operator_norm, trace_norm
 
 QUTRIT = [2 / 3, 2 / 3, 1 / 3]
 QUTRIT_CTR = (3 + np.sqrt(17)) / 6
