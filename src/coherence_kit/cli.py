@@ -42,7 +42,7 @@ from .core import InconclusiveCertificateError, PureState, ValidationError
 from .io import (
     StateFile,
     dump_state_document,
-    format_floats,
+    format_finite,
     load_state_file,
     remember_state_document,
     render_json,
@@ -79,17 +79,17 @@ def _flatten(obj, prefix="", out=None):
         for key, value in obj.items():
             _flatten(value, f"{prefix}{key}." if prefix else f"{key}.", out)
     elif isinstance(obj, np.ndarray):
-        out.append((prefix[:-1], format_floats(obj.shape, tuple(obj.ravel().tolist()))))
+        out.append((prefix[:-1], format_finite(obj)))
     elif isinstance(obj, list):
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
-            out.append((prefix[:-1], format_floats((len(obj),), tuple(obj))))
+            out.append((prefix[:-1], format_finite(obj)))
         else:
             for i, value in enumerate(obj):
                 _flatten(value, f"{prefix[:-1]}[{i}].", out)
     elif isinstance(obj, bool):
         out.append((prefix[:-1], "true" if obj else "false"))
     elif isinstance(obj, float):
-        out.append((prefix[:-1], format_floats((), obj)))
+        out.append((prefix[:-1], format_finite(obj)))
     else:
         out.append((prefix[:-1], str(obj)))
     return out
@@ -309,9 +309,14 @@ def cmd_random(args, inputs: _Inputs) -> tuple[dict | None, int]:
     m = args.m or args.n
     entries = {"pure": args.n, "mixed": args.n * args.n, "bipartite-pure": m * args.n}[args.kind]
     flags = f"--m {m} --n {args.n}" if args.kind == "bipartite-pure" else f"--n {args.n}"
-    # About 128 bytes per entry for sampling and formatting, and as much for
-    # the text of the document. Each document is written, and dropped, before
-    # the next is sampled, so --count does not change the peak.
+    # About 180 bytes per entry at the peak: the sampled array and its
+    # [re, im] body (32), and three copies of the document's text at about 50
+    # each (the formatted array, the document around it, and the file text or
+    # its UTF-8 bytes for the parse cache); a pure state at n = 10^6 peaks at
+    # 176 MB of allocations. Formatting works in fixed-size chunks and adds no
+    # term per entry. The guard allows 256, which also covers the sampling's
+    # temporaries. Each document is written, and dropped, before the next is
+    # sampled, so --count does not change the peak.
     _require_memory("random", flags, 128 * entries * 2)
     rng = np.random.default_rng(args.seed)
     with _output(args.output) as out:

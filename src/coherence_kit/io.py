@@ -1,10 +1,18 @@
 """State file serialization: JSON documents with complex entries as [re, im] pairs.
 
-Floats are written as decimals with 17 significant digits, enough for every
-double to round-trip exactly, so write-then-read reproduces amplitudes bit
-for bit. Arrays are written and parsed in whole-array numpy passes; a
-document numpy cannot read as one array goes through the per-entry parser,
-which accepts the same documents and names the first bad entry.
+Floats are written as decimals with 17 significant digits (``%.17g``),
+enough for every double to round-trip exactly, so write-then-read reproduces
+amplitudes bit for bit. Arrays are written and parsed in whole-array numpy
+passes; a document numpy cannot read as one array goes through the per-entry
+parser, which accepts the same documents and names the first bad entry.
+
+A float array with at least ``KERNEL_MIN_NONZERO`` nonzero entries is
+written by the kernel in ``floatfmt``: it computes the digits of every
+element with 1e-6 <= |x| < 1e17 exactly in numpy (Dekker's error-free
+product), and gives every other element, and any whose decimal exponent it
+cannot settle, to one ``%`` pass. A smaller array is one ``%`` pass over a
+template, ``format_floats``, which is also the reference the kernel is
+tested against. Both give the same bytes.
 
 A document of at least ``CACHE_MIN_BYTES`` is parsed once: its validated
 contents are memoized on disk under the sha256 digest of its bytes (see
@@ -39,6 +47,11 @@ _QUOTE_LIMIT = 100
 # Documents of at least this size go through the parse cache. A smaller one
 # parses in milliseconds (6 ms at 240 KB), so it is not worth an entry.
 CACHE_MIN_BYTES = 1 << 20
+
+# Float arrays with at least this many nonzero entries go through the
+# ``floatfmt`` kernel. Its cost is per element, zeros included, while ``%``
+# writes a zero almost for free, so a mostly-zero array stays with ``%``.
+KERNEL_MIN_NONZERO = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,15 +341,40 @@ def _require_finite(finite: bool) -> None:
         raise ValidationError("reports must contain only finite numbers")
 
 
+def format_finite(obj, indent: int = 0, level: int = 0) -> str:
+    """A float, a list or tuple of numbers, or a numeric ndarray, as
+    ``format_floats`` text laid out at ``indent`` and ``level``; a
+    ValidationError unless every number is finite.
+
+    A float16, float32 or float64 array with at least ``KERNEL_MIN_NONZERO``
+    nonzero entries is formatted by ``floatfmt``, which gives the same text.
+    """
+    if isinstance(obj, np.ndarray):
+        _require_finite(bool(np.isfinite(obj).all()))
+        if (
+            obj.dtype in (np.float16, np.float32, np.float64)
+            and np.count_nonzero(obj) >= KERNEL_MIN_NONZERO
+        ):
+            from . import floatfmt
+
+            return floatfmt.format_array(obj, indent, level)
+        return format_floats(obj.shape, tuple(obj.ravel().tolist()), indent, level)
+    if isinstance(obj, (list, tuple)):
+        _require_finite(all(map(math.isfinite, obj)))
+        return format_floats((len(obj),), tuple(obj), indent, level)
+    _require_finite(math.isfinite(obj))
+    return format_floats((), obj)
+
+
 def render_json(obj, indent: int = 0, _level: int = 0) -> str:
     """JSON text with every float rendered at 17 significant digits.
 
     A float ndarray, or a list of nothing but Python floats, is formatted in
-    one pass; ints, bools and numpy scalars take the element path.
+    one pass (``format_finite``); ints, bools and numpy scalars take the
+    element path.
     """
     if isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind == "f":
-        _require_finite(bool(np.isfinite(obj).all()))
-        return format_floats(obj.shape, tuple(obj.ravel().tolist()), indent, _level)
+        return format_finite(obj, indent, _level)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -349,8 +387,7 @@ def render_json(obj, indent: int = 0, _level: int = 0) -> str:
         if not len(obj):
             return "[]"
         if all(type(v) is float for v in obj):
-            _require_finite(all(map(math.isfinite, obj)))
-            return format_floats((len(obj),), tuple(obj), indent, _level)
+            return format_finite(obj, indent, _level)
         items = [render_json(v, indent, _level + 1) for v in obj]
         return _wrap(items, "[", "]", indent, _level)
     if isinstance(obj, bool) or obj is None:
@@ -358,9 +395,7 @@ def render_json(obj, indent: int = 0, _level: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        _require_finite(math.isfinite(value))
-        return format_floats((), value)
+        return format_finite(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -14,6 +14,7 @@ from coherence_kit import cli, entanglement, oracle, random_states, trace_distan
 from coherence_kit import io as state_io
 from coherence_kit.core import PureState, ValidationError
 from coherence_kit.io import (
+    format_floats,
     load_state_file,
     parse_state_document,
     render_json,
@@ -612,6 +613,29 @@ class TestTableFormat:
         # 17 significant digits in table mode
         assert len(lines["c_tr"].replace(".", "").lstrip("0")) >= 16
         assert float(lines["c_tr"]) == pytest.approx(0.96, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_numbers_are_refused_as_in_json(self, tmp_path, capsys, monkeypatch, bad):
+        message = "^reports must contain only finite numbers$"
+        for report in ({"a": np.array([0.5, bad])}, {"a": [0.5, bad]}, {"b": bad}):
+            with pytest.raises(ValidationError, match=message):
+                cli._flatten(report)
+        with pytest.raises(ValidationError, match=message):
+            cli._flatten({"a": np.array([0.5, np.nan]), "b": float("inf")})
+        monkeypatch.setattr(cli, "cmd_nearest", lambda args, inputs: ({"c_tr": bad}, 0))
+        for fmt in ("json", "table"):
+            assert cli.main(["nearest", "--input", "unused.json", "--format", fmt]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: reports must contain only finite numbers\n"
+
+    def test_large_arrays_match_the_percent_pass(self):
+        values = np.resize(special_values(), (state_io.KERNEL_MIN_NONZERO, 2))
+        (line,) = cli._flatten({"a": {"b": values}})
+        assert line == ("a.b", format_floats(values.shape, tuple(values.ravel().tolist())))
+        assert cli._flatten({"c": values[:, 0].tolist()}) == [
+            ("c", format_floats((len(values),), tuple(values[:, 0].tolist())))
+        ]
 
 
 class TestLargePureState:

@@ -130,6 +130,18 @@ class TestCliImports:
             "coherence_kit.entanglement",
         )
 
+    def test_only_large_float_arrays_load_the_format_kernel(self, pure_files, tmp_path):
+        # The kernel module is compiled in every process that imports it.
+        x, d = pure_files
+        for argv in (
+            ["nearest", "--input", x],
+            ["measures", "--input", x],
+            ["verify", "--input", x, "--candidate", d],
+        ):
+            assert "coherence_kit.floatfmt" not in cli_call(*argv)["modules"]
+        out = str(tmp_path / "big.json")
+        modules = cli_call("random", "--n", "100000", "--output", out)["modules"]
+        assert "coherence_kit.floatfmt" in modules
 
     def test_parse_cache_miss_and_hit_load_no_further_module(self, pure_files, tmp_path):
         # A document of at least CACHE_MIN_BYTES, so the call takes the cache path.
