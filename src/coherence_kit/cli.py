@@ -30,6 +30,7 @@ if __name__ == "__main__":
 
 import argparse
 import contextlib
+import itertools
 import os
 import sys
 import time
@@ -41,13 +42,11 @@ from . import __version__
 from .core import InconclusiveCertificateError, PureState, ValidationError
 from .io import (
     StateFile,
-    dump_state_document,
     format_finite,
     load_state_file,
-    remember_state_document,
-    render_json,
-    state_document,
+    render_pieces,
     to_state,
+    write_state_file,
 )
 
 EXIT_OK = 0
@@ -78,18 +77,15 @@ def _flatten(obj, prefix="", out=None):
     if isinstance(obj, dict):
         for key, value in obj.items():
             _flatten(value, f"{prefix}{key}." if prefix else f"{key}.", out)
-    elif isinstance(obj, np.ndarray):
-        out.append((prefix[:-1], format_finite(obj)))
-    elif isinstance(obj, list):
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
-            out.append((prefix[:-1], format_finite(obj)))
-        else:
-            for i, value in enumerate(obj):
-                _flatten(value, f"{prefix[:-1]}[{i}].", out)
+    elif isinstance(obj, list) and not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj
+    ):
+        for i, value in enumerate(obj):
+            _flatten(value, f"{prefix[:-1]}[{i}].", out)
+    elif isinstance(obj, (np.ndarray, list, float)):
+        out.append((prefix[:-1], "".join(format_finite(obj))))
     elif isinstance(obj, bool):
         out.append((prefix[:-1], "true" if obj else "false"))
-    elif isinstance(obj, float):
-        out.append((prefix[:-1], format_finite(obj)))
     else:
         out.append((prefix[:-1], str(obj)))
     return out
@@ -304,20 +300,16 @@ def cmd_channel_verify(args, inputs: _Inputs) -> tuple[dict | None, int]:
 
 
 def cmd_random(args, inputs: _Inputs) -> tuple[dict | None, int]:
+    from . import cache, io as state_io
     from .random_states import random_bipartite_pure, random_mixed_state, random_pure_state
 
     m = args.m or args.n
     entries = {"pure": args.n, "mixed": args.n * args.n, "bipartite-pure": m * args.n}[args.kind]
     flags = f"--m {m} --n {args.n}" if args.kind == "bipartite-pure" else f"--n {args.n}"
-    # About 180 bytes per entry at the peak: the sampled array and its
-    # [re, im] body (32), and three copies of the document's text at about 50
-    # each (the formatted array, the document around it, and the file text or
-    # its UTF-8 bytes for the parse cache); a pure state at n = 10^6 peaks at
-    # 176 MB of allocations. Formatting works in fixed-size chunks and adds no
-    # term per entry. The guard allows 256, which also covers the sampling's
-    # temporaries. Each document is written, and dropped, before the next is
-    # sampled, so --count does not change the peak.
-    _require_memory("random", flags, 128 * entries * 2)
+    # Peak child RSS less start-up is about 80 bytes per entry for a mixed
+    # state (n x n matrices while it is sampled and checked) and 33 for the
+    # others, plus half as much again; the text is written a piece at a time.
+    _require_memory("random", flags, (120 if args.kind == "mixed" else 50) * entries)
     rng = np.random.default_rng(args.seed)
     with _output(args.output) as out:
         for _ in range(args.count):
@@ -327,12 +319,11 @@ def cmd_random(args, inputs: _Inputs) -> tuple[dict | None, int]:
                 data = random_mixed_state(args.n, rng).matrix
             else:
                 data = random_bipartite_pure(m, args.n, rng).amplitudes
-            text = dump_state_document(state_document(args.kind, data)) + "\n"
-            out.write(text)
-            if args.output and args.count == 1:
-                # The file holds exactly ``text``, and it parses back to ``data``.
-                remember_state_document(text, args.kind, data)
-            del data, text
+            digest, size = write_state_file(out, args.kind, data)
+            if args.output and args.count == 1 and size >= state_io.CACHE_MIN_BYTES:
+                # The file holds exactly these bytes, and they parse back to ``data``.
+                cache.store(digest, args.kind, data)
+            del data
     return None, EXIT_OK
 
 
@@ -509,11 +500,11 @@ def main(argv=None) -> int:
                 "timings": {"load_s": inputs.load_s, "wall_s": handler_s - inputs.load_s},
             }
             if args.format == "table":
-                text = "".join(f"{key} = {value}\n" for key, value in _flatten(report))
+                pieces = [f"{key} = {value}\n" for key, value in _flatten(report)]
             else:
-                text = render_json(report, indent=2) + "\n"
+                pieces = itertools.chain(render_pieces(report, indent=2), ("\n",))
             with _output(args.output) as out:
-                out.write(text)
+                out.writelines(pieces)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

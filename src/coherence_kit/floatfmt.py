@@ -22,14 +22,18 @@ One table row, chosen by a code from E, the number of digits kept, the sign
 and the separator, holds every constant byte, and 0xFF in the columns of the
 digits it keeps; the digits are ANDed in, and the NUL bytes left in the rows
 are dropped with ``bytearray.translate``. Elements go through in chunks of
-``CHUNK``, so the work arrays stay small.
+``CHUNK``, so the work arrays stay small, and the text of each chunk is
+handed on as soon as it is made.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
+
+from . import io
 
 # Elements per chunk. Each work array of a chunk is then 64 KB, below
 # glibc's default 128 KB mmap threshold, so the heap reuses the same blocks
@@ -112,21 +116,10 @@ _NUMBER_ROWS = _number_rows()
 def _layout(shape: tuple[int, ...], indent: int, level: int) -> tuple[str, list[str]]:
     """The text before the first element of a nested list of ``shape``, and
     the text after an element at which c trailing axes close, for c = 0 ..
-    len(shape) - 1, then after the last element. The same layout as
-    ``io._float_template``."""
-    rank = len(shape)
-
-    def newline(depth: int) -> str:
-        return "\n" + " " * (indent * (level + depth)) if indent else ""
-
-    opens = ["[" + newline(j + 1) for j in range(rank)]
-    closes = [newline(j) + "]" for j in range(rank)]
-    commas = ["," + newline(j + 1) if indent else ", " for j in range(rank)]
-    after = [
-        "".join(closes[rank - c :][::-1]) + commas[rank - 1 - c] + "".join(opens[rank - c :])
-        for c in range(rank)
-    ]
-    return "".join(opens), after + ["".join(closes[::-1])]
+    len(shape) - 1, then after the last element: the pieces between the
+    elements of the ``%`` template of shape (2, ..., 2)."""
+    pieces = io._float_template((2,) * len(shape), indent, level).split("%.17g")
+    return pieces[0], [pieces[2**c] for c in range(len(shape))] + [pieces[-1]]
 
 
 def _closings(shape: tuple[int, ...], start: int, stop: int) -> np.ndarray:
@@ -141,9 +134,10 @@ def _closings(shape: tuple[int, ...], start: int, stop: int) -> np.ndarray:
     return count
 
 
-def format_array(arr: np.ndarray, indent: int = 0, level: int = 0) -> str:
-    """``format_floats(arr.shape, tuple(arr.ravel().tolist()), indent, level)``
-    for a finite float16, float32 or float64 array with no zero-length axis."""
+def format_array(arr: np.ndarray, indent: int = 0, level: int = 0) -> Iterator[str]:
+    """The text ``format_floats(arr.shape, tuple(arr.ravel().tolist()),
+    indent, level)`` of a finite float16, float32 or float64 array with no
+    zero-length axis, as its opening brackets and then the text of each chunk."""
     head, after = _layout(arr.shape, indent, level)
     width = _SEP + max(map(len, after))
     width += width % 2  # whole uint16 columns
@@ -160,7 +154,7 @@ def format_array(arr: np.ndarray, indent: int = 0, level: int = 0) -> str:
     buffer = bytearray(chunk * width)
     rows = np.frombuffer(buffer, np.uint8).reshape(chunk, width)
     digits = np.empty((chunk, 5), dtype=np.uint64)
-    text = bytearray(head.encode())
+    yield head
     for start in range(0, flat.size, chunk):
         stop = min(start + chunk, flat.size)
         m = stop - start
@@ -175,8 +169,7 @@ def format_array(arr: np.ndarray, indent: int = 0, level: int = 0) -> str:
             fixed = np.frombuffer(padded.encode(), np.uint8).reshape(-1, _FALLBACK_WIDTH)
             rows[fallback, :_FALLBACK_WIDTH] = np.where(fixed == ord(" "), 0, fixed)
         rows[m:] = 0
-        text += buffer.translate(None, b"\0")
-    return text.decode("ascii")
+        yield buffer.translate(None, b"\0").decode("ascii")
 
 
 def _numbers(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

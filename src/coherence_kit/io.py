@@ -12,7 +12,8 @@ element with 1e-6 <= |x| < 1e17 exactly in numpy (Dekker's error-free
 product), and gives every other element, and any whose decimal exponent it
 cannot settle, to one ``%`` pass. A smaller array is one ``%`` pass over a
 template, ``format_floats``, which is also the reference the kernel is
-tested against. Both give the same bytes.
+tested against. Both give the same bytes. Text is made, written, and for a
+state file hashed, as a sequence of pieces (``render_pieces``).
 
 A document of at least ``CACHE_MIN_BYTES`` is parsed once: its validated
 contents are memoized on disk under the sha256 digest of its bytes (see
@@ -25,6 +26,7 @@ import hashlib
 import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -275,7 +277,7 @@ def _cached_state_file(digest: str) -> StateFile | None:
         return None
     kind, data = entry
     if (
-        data.dtype != _dtype(kind)
+        data.dtype != (float if kind == "incoherent" else complex)
         or data.ndim != (2 if kind in ("mixed", "bipartite-pure") else 1)
         or not data.size
         or (kind == "mixed" and data.shape[0] != data.shape[1])
@@ -283,23 +285,6 @@ def _cached_state_file(digest: str) -> StateFile | None:
         return None
     dims = data.shape if kind == "bipartite-pure" else data.shape[:1]
     return StateFile(kind=kind, dims=dims, data=data, digest=digest)
-
-
-def _dtype(kind: str) -> type:
-    return float if kind == "incoherent" else complex
-
-
-def remember_state_document(text: str, kind: str, data: np.ndarray) -> None:
-    """Put into the parse cache that the document ``text`` holds ``data``.
-
-    ``text`` is a whole state file as written, ``dump_state_document(
-    state_document(kind, data)) + "\n"``, whose parse returns ``data`` bit
-    for bit; a later ``load_state_file`` of that file then skips the parse.
-    """
-    raw = text.encode("utf-8")
-    if len(raw) >= CACHE_MIN_BYTES:
-        data = np.ascontiguousarray(data, dtype=_dtype(kind))
-        cache.store(hashlib.sha256(raw).hexdigest(), kind, data)
 
 
 def state_document(kind: str, data: np.ndarray) -> dict:
@@ -333,7 +318,8 @@ def _float_template(shape: tuple[int, ...], indent: int, level: int) -> str:
     if not shape[0]:
         return "[]"
     item = _float_template(shape[1:], indent, level + 1)
-    return _wrap([item] * shape[0], "[", "]", indent, level)
+    first, between, last = _separators(indent, level)
+    return "[" + first + between.join([item] * shape[0]) + last + "]"
 
 
 def _require_finite(finite: bool) -> None:
@@ -341,13 +327,14 @@ def _require_finite(finite: bool) -> None:
         raise ValidationError("reports must contain only finite numbers")
 
 
-def format_finite(obj, indent: int = 0, level: int = 0) -> str:
-    """A float, a list or tuple of numbers, or a numeric ndarray, as
-    ``format_floats`` text laid out at ``indent`` and ``level``; a
-    ValidationError unless every number is finite.
+def format_finite(obj, indent: int = 0, level: int = 0) -> Iterator[str]:
+    """A float, a list or tuple of numbers, or a numeric ndarray, as the
+    pieces of its ``format_floats`` text laid out at ``indent`` and ``level``;
+    a ValidationError, before any piece is made, unless every number is finite.
 
     A float16, float32 or float64 array with at least ``KERNEL_MIN_NONZERO``
-    nonzero entries is formatted by ``floatfmt``, which gives the same text.
+    nonzero entries is formatted by ``floatfmt``, which gives the same text a
+    chunk at a time as the pieces are taken.
     """
     if isinstance(obj, np.ndarray):
         _require_finite(bool(np.isfinite(obj).all()))
@@ -358,65 +345,95 @@ def format_finite(obj, indent: int = 0, level: int = 0) -> str:
             from . import floatfmt
 
             return floatfmt.format_array(obj, indent, level)
-        return format_floats(obj.shape, tuple(obj.ravel().tolist()), indent, level)
+        return iter([format_floats(obj.shape, tuple(obj.ravel().tolist()), indent, level)])
     if isinstance(obj, (list, tuple)):
         _require_finite(all(map(math.isfinite, obj)))
-        return format_floats((len(obj),), tuple(obj), indent, level)
+        return iter([format_floats((len(obj),), tuple(obj), indent, level)])
     _require_finite(math.isfinite(obj))
-    return format_floats((), obj)
+    return iter([format_floats((), obj)])
 
 
-def render_json(obj, indent: int = 0, _level: int = 0) -> str:
-    """JSON text with every float rendered at 17 significant digits.
+def render_pieces(obj, indent: int = 0) -> Iterator[str]:
+    """The JSON text of ``obj``, floats at 17 significant digits, as pieces.
+    Every number is checked before this returns; a ``floatfmt`` array's text
+    is made a chunk at a time as it is taken."""
+    parts = [(part,) if isinstance(part, str) else part for part in _parts(obj, indent, 0)]
+    return itertools.chain.from_iterable(parts)
 
-    A float ndarray, or a list of nothing but Python floats, is formatted in
-    one pass (``format_finite``); ints, bools and numpy scalars take the
-    element path.
-    """
-    if isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind == "f":
-        return format_finite(obj, indent, _level)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{json.dumps(str(k))}: {render_json(v, indent, _level + 1)}"
-            for k, v in obj.items()
-        ]
-        return _wrap(items, "{", "}", indent, _level)
-    if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        if all(type(v) is float for v in obj):
-            return format_finite(obj, indent, _level)
-        items = [render_json(v, indent, _level + 1) for v in obj]
-        return _wrap(items, "[", "]", indent, _level)
-    if isinstance(obj, bool) or obj is None:
+
+def _parts(obj, indent: int, level: int):
+    """The pieces of ``render_pieces``, but with the text of a float ndarray,
+    or of a list of nothing but Python floats, as the iterator of its one
+    ``format_finite`` pass; ints, bools and numpy scalars are elements."""
+    if (isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind == "f") or (
+        isinstance(obj, (list, tuple)) and obj and all(type(v) is float for v in obj)
+    ):
+        yield format_finite(obj, indent, level)
+    elif isinstance(obj, dict) and obj:
+        keys = (json.dumps(str(k)) + ": " for k in obj)
+        yield from _wrap(keys, obj.values(), "{}", indent, level)
+    elif isinstance(obj, (list, tuple)) and obj:
+        yield from _wrap(itertools.repeat(""), obj, "[]", indent, level)
+    else:
+        yield _scalar(obj)
+
+
+def _scalar(obj) -> str:
+    """The JSON text of a scalar or an empty container."""
+    if isinstance(obj, (bool, str, dict, list, tuple)) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format_finite(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
+        return next(format_finite(float(obj)))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _wrap(items: list[str], opener: str, closer: str, indent: int, level: int) -> str:
+def _wrap(keys, values, brackets: str, indent: int, level: int):
+    """The parts of a non-empty JSON object or array: its brackets around each
+    key (empty in an array) and value, laid out at ``indent`` and ``level``."""
+    first, between, last = _separators(indent, level)
+    separator = brackets[0] + first
+    for key, value in zip(keys, values):
+        if isinstance(value, (dict, list, tuple, np.ndarray)):
+            yield separator + key
+            yield from _parts(value, indent, level + 1)
+        else:
+            yield separator + key + _scalar(value)
+        separator = between
+    yield last + brackets[1]
+
+
+def _separators(indent: int, level: int) -> tuple[str, str, str]:
+    """The text after a container's opening bracket, between its items, and
+    before its closing bracket."""
     if not indent:
-        return opener + ", ".join(items) + closer
-    pad = " " * (indent * (level + 1))
-    return (
-        opener + "\n" + pad + (",\n" + pad).join(items)
-        + "\n" + " " * (indent * level) + closer
-    )
+        return "", ", ", ""
+    pad = "\n" + " " * (indent * (level + 1))
+    return pad, "," + pad, "\n" + " " * (indent * level)
+
+
+def render_json(obj, indent: int = 0) -> str:
+    """``render_pieces(obj, indent)`` as one string."""
+    return "".join(render_pieces(obj, indent))
 
 
 def dump_state_document(doc: dict) -> str:
     return render_json(doc)
 
 
-def write_state_file(path, kind: str, data: np.ndarray) -> None:
-    Path(path).write_text(dump_state_document(state_document(kind, data)) + "\n")
+def write_state_file(fh, kind: str, data: np.ndarray) -> tuple[str, int]:
+    """Write ``dump_state_document(state_document(kind, data))`` and a newline
+    to the open text file ``fh``, a piece at a time; return the sha256 hex
+    digest of the bytes written, as ``load_state_file`` gives it, and their count."""
+    digest = hashlib.sha256()
+    size = 0
+    for piece in itertools.chain(render_pieces(state_document(kind, data)), ("\n",)):
+        raw = piece.encode()
+        fh.write(piece)
+        digest.update(raw)
+        size += len(raw)
+    return digest.hexdigest(), size
 
 
 def to_state(sf: StateFile):

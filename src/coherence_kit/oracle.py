@@ -17,6 +17,8 @@ import numpy as np
 
 from .core import IncoherentState, ValidationError, as_density_matrix
 
+STALL_WINDOW = 100
+
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:
@@ -54,10 +56,9 @@ def c_tr_subgradient(
     max_iters: int = 10000,
     step_scale: float = 0.04,
     tol: float = 1e-12,
-    stall_window: int = 100,
 ) -> OracleResult:
     """``c_tr_subgradient_many`` on the one state ``rho``."""
-    return c_tr_subgradient_many([rho], max_iters, step_scale, tol, stall_window)[0]
+    return c_tr_subgradient_many([rho], max_iters, step_scale, tol)[0]
 
 
 def c_tr_subgradient_many(
@@ -65,7 +66,6 @@ def c_tr_subgradient_many(
     max_iters: int = 10000,
     step_scale: float = 0.04,
     tol: float = 1e-12,
-    stall_window: int = 100,
 ) -> list[OracleResult]:
     """Projected subgradient descent on g(delta) = ||rho - diag(delta)||_tr,
     one result per state, in input order.
@@ -75,7 +75,7 @@ def c_tr_subgradient_many(
     step_scale * g(delta_0) / sqrt(t), and the iterate is projected back onto
     the simplex.  The best iterate is tracked (subgradient methods are not
     monotone) and the run stops early once the best value improves by less
-    than ``tol`` over a ``stall_window``-iteration window; improvements of the
+    than ``tol`` over a ``STALL_WINDOW``-iteration window; improvements of the
     best value arrive in bursts, so a tight budget with ``tol=0`` (never stop
     early) is more accurate than a large budget with a loose ``tol``.
 
@@ -84,8 +84,6 @@ def c_tr_subgradient_many(
     state's arithmetic is that of a run on it alone, so its result does not
     depend on the other states.
     """
-    if stall_window < 0:
-        raise ValidationError(f"stall_window must be non-negative, got {stall_window}")
     matrices = [as_density_matrix(rho).matrix for rho in states]
     groups: dict[int, list[int]] = {}
     for i, a in enumerate(matrices):
@@ -93,13 +91,13 @@ def c_tr_subgradient_many(
     results: list = [None] * len(matrices)
     for members in groups.values():
         stack = np.stack([matrices[i] for i in members])
-        runs = _descend(stack, max_iters, step_scale, tol, stall_window)
+        runs = _descend(stack, max_iters, step_scale, tol)
         for i, result in zip(members, runs):
             results[i] = result
     return results
 
 
-def _descend(a, max_iters, step_scale, tol, stall_window) -> list[OracleResult]:
+def _descend(a, max_iters, step_scale, tol) -> list[OracleResult]:
     """The subgradient iteration on a (b, n, n) stack of density matrices.
 
     A row that stops early leaves the stack; while every row is active the
@@ -122,8 +120,8 @@ def _descend(a, max_iters, step_scale, tol, stall_window) -> list[OracleResult]:
     best_values = values.copy()
     best_deltas = delta.copy()
     scales = step_scale * np.where(values > 0.0, values, 1.0)[:, None]
-    # history[t % (stall_window + 1)] is the best value after iteration t.
-    history = np.empty((stall_window + 1, b))
+    # history[t % (STALL_WINDOW + 1)] is the best value after iteration t.
+    history = np.empty((STALL_WINDOW + 1, b))
     history[0] = best_values
     # The best value never increases, so with tol <= 0 no row ever stalls.
     can_stall = tol > 0.0
@@ -141,10 +139,10 @@ def _descend(a, max_iters, step_scale, tol, stall_window) -> list[OracleResult]:
             np.copyto(best_deltas, delta, where=improved[:, None])
         if not can_stall:
             continue
-        history[t % (stall_window + 1)] = best_values
-        if t < stall_window:
+        history[t % (STALL_WINDOW + 1)] = best_values
+        if t < STALL_WINDOW:
             continue
-        stalled = history[(t + 1) % (stall_window + 1)] - best_values < tol
+        stalled = history[(t + 1) % (STALL_WINDOW + 1)] - best_values < tol
         if not stalled.any():
             continue
         done = rows[stalled]

@@ -45,23 +45,28 @@ def mask_timings(text: str) -> str:
     return TIMINGS.sub("<timings>", text)
 
 
+def write_state(path, kind: str, data) -> None:
+    with open(path, "w") as fh:
+        write_state_file(fh, kind, data)
+
+
 def write_inputs() -> None:
     inputs = HERE / "inputs"
     inputs.mkdir(exist_ok=True)
     for name, amplitudes in PURE_INPUTS.items():
-        write_state_file(inputs / f"{name}.json", "pure", amplitudes)
+        write_state(inputs / f"{name}.json", "pure", amplitudes)
     nearest = nearest_incoherent(PURE_INPUTS["qutrit"]).nearest.diag
     shifted = nearest.copy()
     shifted[0] -= 1e-3
     shifted[1] += 1e-3
-    write_state_file(inputs / "qutrit-nearest.json", "incoherent", nearest)
-    write_state_file(inputs / "qutrit-shifted.json", "incoherent", shifted)
+    write_state(inputs / "qutrit-nearest.json", "incoherent", nearest)
+    write_state(inputs / "qutrit-shifted.json", "incoherent", shifted)
     bell = np.eye(2, dtype=complex) / np.sqrt(2.0)
-    write_state_file(inputs / "bell.json", "bipartite-pure", bell)
+    write_state(inputs / "bell.json", "bipartite-pure", bell)
     schmidt = np.diag(np.sqrt([0.4, 0.3, 0.2, 0.1])).astype(complex)
-    write_state_file(inputs / "schmidt-4x4.json", "bipartite-pure", schmidt)
+    write_state(inputs / "schmidt-4x4.json", "bipartite-pure", schmidt)
     mixed = random_mixed_state(3, np.random.default_rng(11)).matrix
-    write_state_file(inputs / "mixed-3.json", "mixed", mixed)
+    write_state(inputs / "mixed-3.json", "mixed", mixed)
 
 
 def cases() -> list[dict]:

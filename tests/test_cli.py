@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -29,10 +30,11 @@ from coherence_kit.random_states import (
     random_real_separable,
 )
 from coherence_kit.trace_distance import nearest_incoherent
+from state_files import write_state
 
 
 def write_pure(path, amplitudes):
-    write_state_file(path, "pure", np.asarray(amplitudes, dtype=complex))
+    write_state(path, "pure", np.asarray(amplitudes, dtype=complex))
     return str(path)
 
 
@@ -52,7 +54,7 @@ class TestStateFiles:
         rng = np.random.default_rng(101)
         x = random_pure_state(7, rng)
         path = tmp_path / "x.json"
-        write_state_file(path, "pure", x.amplitudes)
+        write_state(path, "pure", x.amplitudes)
         loaded = load_state_file(path)
         assert np.array_equal(loaded.data, x.amplitudes)
         assert np.abs(to_state(loaded).amplitudes - x.amplitudes).max() <= 1e-15
@@ -61,7 +63,7 @@ class TestStateFiles:
         rng = np.random.default_rng(102)
         rho = random_mixed_state(4, rng)
         path = tmp_path / "rho.json"
-        write_state_file(path, "mixed", rho.matrix)
+        write_state(path, "mixed", rho.matrix)
         loaded = to_state(load_state_file(path))
         assert np.array_equal(loaded.matrix, rho.matrix)
 
@@ -69,7 +71,7 @@ class TestStateFiles:
         rng = np.random.default_rng(103)
         v = random_bipartite_pure(3, 4, rng)
         path = tmp_path / "v.json"
-        write_state_file(path, "bipartite-pure", v.amplitudes)
+        write_state(path, "bipartite-pure", v.amplitudes)
         loaded = load_state_file(path)
         assert np.array_equal(loaded.data, v.amplitudes)
 
@@ -125,7 +127,7 @@ class TestMeasures:
         rng = np.random.default_rng(106)
         rho = random_mixed_state(3, rng)
         path = tmp_path / "rho.json"
-        write_state_file(path, "mixed", rho.matrix)
+        write_state(path, "mixed", rho.matrix)
         code, report = run_json(["measures", "--input", str(path)], capsys)
         assert code == 0
         values = report["states"][0]["values"]
@@ -135,7 +137,7 @@ class TestMeasures:
         rng = np.random.default_rng(104)
         rho = random_mixed_state(3, rng)
         path = tmp_path / "rho.json"
-        write_state_file(path, "mixed", rho.matrix)
+        write_state(path, "mixed", rho.matrix)
         code, report = run_json(
             ["measures", "--input", str(path), "--measure", "tr"], capsys
         )
@@ -146,7 +148,7 @@ class TestMeasures:
         rng = np.random.default_rng(105)
         rho = random_mixed_state(3, rng)
         path = tmp_path / "rho.json"
-        write_state_file(path, "mixed", rho.matrix)
+        write_state(path, "mixed", rho.matrix)
         code = cli.main(
             ["measures", "--input", str(path), "--measure", "robustness"]
         )
@@ -154,7 +156,7 @@ class TestMeasures:
 
     def test_bipartite_input_is_rejected_with_pointer(self, tmp_path, capsys):
         path = tmp_path / "v.json"
-        write_state_file(path, "bipartite-pure", np.eye(2) / np.sqrt(2))
+        write_state(path, "bipartite-pure", np.eye(2) / np.sqrt(2))
         code = cli.main(["measures", "--input", str(path)])
         err = capsys.readouterr().err
         assert code == 1
@@ -201,9 +203,9 @@ class TestBatchedMeasures:
         ):
             path = tmp_path / f"s{i}.json"
             if kind == "pure":
-                write_state_file(path, kind, random_pure_state(n, rng).amplitudes)
+                write_state(path, kind, random_pure_state(n, rng).amplitudes)
             else:
-                write_state_file(path, kind, random_mixed_state(n, rng).matrix)
+                write_state(path, kind, random_mixed_state(n, rng).matrix)
             paths.append(str(path))
         return paths
 
@@ -239,7 +241,7 @@ class TestBatchedMeasures:
 
     def test_one_eigendecomposition_per_mixed_input(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "rho.json"
-        write_state_file(path, "mixed", random_mixed_state(8, np.random.default_rng(108)).matrix)
+        write_state(path, "mixed", random_mixed_state(8, np.random.default_rng(108)).matrix)
         m = load_state_file(path).data
 
         def bits(p):
@@ -273,7 +275,7 @@ class TestBatchedMeasures:
         first, second, options = interleaved[0], interleaved[1], []
         if third == "bipartite":
             path = tmp_path / "v.json"
-            write_state_file(path, "bipartite-pure", np.eye(2) / np.sqrt(2))
+            write_state(path, "bipartite-pure", np.eye(2) / np.sqrt(2))
             message = (
                 f"{path}: measures takes kind 'pure' or 'mixed', got 'bipartite-pure'; "
                 "use the 'entanglement' command for bipartite input"
@@ -308,7 +310,7 @@ class TestNearestAndVerify:
     def test_verify_optimal_exit_zero(self, tmp_path, capsys):
         state = write_pure(tmp_path / "x.json", [2 / 3, 2 / 3, 1 / 3])
         cand = tmp_path / "d.json"
-        write_state_file(cand, "incoherent", np.array([0.5, 0.5, 0.0]))
+        write_state(cand, "incoherent", np.array([0.5, 0.5, 0.0]))
         code, report = run_json(
             ["verify", "--input", state, "--candidate", str(cand)], capsys
         )
@@ -318,14 +320,14 @@ class TestNearestAndVerify:
     def test_verify_suboptimal_exit_two(self, tmp_path, capsys):
         state = write_pure(tmp_path / "x.json", [2 / 3, 2 / 3, 1 / 3])
         cand = tmp_path / "d.json"
-        write_state_file(cand, "incoherent", np.array([1.0, 0.0, 0.0]))
+        write_state(cand, "incoherent", np.array([1.0, 0.0, 0.0]))
         code = cli.main(["verify", "--input", state, "--candidate", str(cand)])
         assert code == 2
 
     def test_verify_incoherent_input_exit_one(self, tmp_path, capsys):
         state = write_pure(tmp_path / "x.json", [1.0, 0.0])
         cand = tmp_path / "d.json"
-        write_state_file(cand, "incoherent", np.array([1.0, 0.0]))
+        write_state(cand, "incoherent", np.array([1.0, 0.0]))
         code = cli.main(["verify", "--input", state, "--candidate", str(cand)])
         assert code == 1
 
@@ -357,7 +359,7 @@ class TestNearestAndVerify:
         amps = np.array([np.sqrt(1 - eps * eps), eps], dtype=complex)
         state = write_pure(tmp_path / "x.json", amps)
         cand = tmp_path / "d.json"
-        write_state_file(cand, "incoherent", np.abs(amps) ** 2)
+        write_state(cand, "incoherent", np.abs(amps) ** 2)
         code = cli.main(["verify", "--input", state, "--candidate", str(cand)])
         assert code == 3
 
@@ -365,7 +367,7 @@ class TestNearestAndVerify:
 class TestEntanglementCommand:
     def test_bell(self, tmp_path, capsys):
         path = tmp_path / "bell.json"
-        write_state_file(path, "bipartite-pure", np.eye(2) / np.sqrt(2))
+        write_state(path, "bipartite-pure", np.eye(2) / np.sqrt(2))
         code, report = run_json(["entanglement", "--input", str(path)], capsys)
         assert code == 0
         assert report["e_tr"] == pytest.approx(1.0, abs=1e-12)
@@ -374,7 +376,7 @@ class TestEntanglementCommand:
 
     def test_product_state_zeros(self, tmp_path, capsys):
         path = tmp_path / "prod.json"
-        write_state_file(path, "bipartite-pure", np.outer([1.0, 0.0], [0.6, 0.8]))
+        write_state(path, "bipartite-pure", np.outer([1.0, 0.0], [0.6, 0.8]))
         code, report = run_json(["entanglement", "--input", str(path)], capsys)
         assert code == 0
         assert report["e_tr"] <= 1e-12
@@ -382,7 +384,7 @@ class TestEntanglementCommand:
 
     def test_correlated_example(self, tmp_path, capsys):
         path = tmp_path / "corr.json"
-        write_state_file(path, "bipartite-pure", np.diag([2 / 3, 2 / 3, 1 / 3]))
+        write_state(path, "bipartite-pure", np.diag([2 / 3, 2 / 3, 1 / 3]))
         code, report = run_json(["entanglement", "--input", str(path)], capsys)
         assert code == 0
         assert report["e_tr"] == pytest.approx((3 + np.sqrt(17)) / 6, abs=1e-12)
@@ -390,7 +392,7 @@ class TestEntanglementCommand:
     def test_one_svd_per_call(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(106)
         path = tmp_path / "v.json"
-        write_state_file(path, "bipartite-pure", random_bipartite_pure(5, 4, rng).amplitudes)
+        write_state(path, "bipartite-pure", random_bipartite_pure(5, 4, rng).amplitudes)
         calls = []
         svd = np.linalg.svd
 
@@ -406,7 +408,7 @@ class TestEntanglementCommand:
 
     def test_negativity_and_e_r_computed_once(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "v.json"
-        write_state_file(path, "bipartite-pure", np.diag([0.8, 0.6]))
+        write_state(path, "bipartite-pure", np.diag([0.8, 0.6]))
         calls = Counter()
         for name in ("c_l1", "c_rel_entropy"):
 
@@ -466,6 +468,27 @@ class TestRandomCommand:
 
         assert peak_rss(3) <= 1.10 * peak_rss(1)
 
+    def test_state_file_text_is_never_held_whole(self, tmp_path):
+        # The document is written, and hashed, a piece at a time; what stays
+        # is the sampled state and its [re, im] body, each a third of the file.
+        path = tmp_path / "s.json"
+        tracemalloc.start()
+        try:
+            assert cli.main(["random", "--n", "200000", "--output", str(path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * path.stat().st_size
+
+    def test_commands_read_one_document_per_file(self, tmp_path, capsys):
+        path = tmp_path / "states.jsonl"
+        assert cli.main(["random", "--n", "3", "--count", "2", "--output", str(path)]) == 0
+        for command in ("measures", "nearest"):
+            assert cli.main([command, "--input", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {path}: line 2, column 1: Extra data\n"
+
     def test_qubit_mean_coherence_band(self, capsys):
         # Monte Carlo sanity band for 2 |x1 x2| over uniform qubit states.
         rng = np.random.default_rng(12)
@@ -512,7 +535,7 @@ class TestBenchAndOracle:
     def test_zero_iterations_report_the_starting_point(self, tmp_path, capsys):
         rho = random_mixed_state(3, np.random.default_rng(131))
         path = tmp_path / "rho.json"
-        write_state_file(path, "mixed", rho.matrix)
+        write_state(path, "mixed", rho.matrix)
         code, report = run_json(["oracle", "--input", str(path), "--max-iters", "0"], capsys)
         assert code == 0
         assert report["iterations"] == 0
@@ -576,7 +599,7 @@ class TestChannelVerifyCommand:
         rng = np.random.default_rng(13)
         sigma = random_real_separable(2, 4, rng)
         path = tmp_path / "sigma.json"
-        write_state_file(path, "mixed", sigma.matrix)
+        write_state(path, "mixed", sigma.matrix)
         code, report = run_json(
             ["channel-verify", "--sigma", str(path), "--local-dim", "2", "--seed", "5"],
             capsys,
@@ -586,7 +609,7 @@ class TestChannelVerifyCommand:
 
     def test_input_dimensions_must_match_local_dim(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "v4.json"
-        write_state_file(path, "bipartite-pure", np.diag(np.sqrt([0.4, 0.3, 0.2, 0.1])))
+        write_state(path, "bipartite-pure", np.diag(np.sqrt([0.4, 0.3, 0.2, 0.1])))
 
         def refuse(*args):
             raise AssertionError("sigma sampled before the input was checked")
@@ -623,11 +646,16 @@ class TestTableFormat:
         with pytest.raises(ValidationError, match=message):
             cli._flatten({"a": np.array([0.5, np.nan]), "b": float("inf")})
         monkeypatch.setattr(cli, "cmd_nearest", lambda args, inputs: ({"c_tr": bad}, 0))
+        target = tmp_path / "report.json"
         for fmt in ("json", "table"):
             assert cli.main(["nearest", "--input", "unused.json", "--format", fmt]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: reports must contain only finite numbers\n"
+            argv = ["nearest", "--input", "unused.json", "--format", fmt, "--output", str(target)]
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err == captured.err
+            assert not target.exists()
 
     def test_large_arrays_match_the_percent_pass(self):
         values = np.resize(special_values(), (state_io.KERNEL_MIN_NONZERO, 2))
@@ -653,9 +681,9 @@ class TestLargePureState:
         shifted[order[-1]] -= 1e-3
         shifted[order[-2]] += 1e-3
         cand = tmp_path / "d.json"
-        write_state_file(cand, "incoherent", optimum)
+        write_state(cand, "incoherent", optimum)
         worse = tmp_path / "worse.json"
-        write_state_file(worse, "incoherent", shifted)
+        write_state(worse, "incoherent", shifted)
 
         def forbidden(self):
             raise AssertionError("an n x n matrix was formed")
@@ -705,13 +733,13 @@ class TestResourceErrors:
         "argv, flags, gigabytes",
         [
             (["channel-verify", "--local-dim", "64"], "--local-dim 64", "1.07"),
-            (["random", "--kind", "mixed", "--n", "2000"], "--n 2000", "1.02"),
+            (["random", "--kind", "mixed", "--n", "20000"], "--n 20000", "48.00"),
             (
-                ["random", "--kind", "bipartite-pure", "--n", "2000", "--m", "3000", "--count", "2"],
-                "--m 3000 --n 2000",
-                "1.54",
+                ["random", "--kind", "bipartite-pure", "--n", "7000", "--m", "3000", "--count", "2"],
+                "--m 3000 --n 7000",
+                "1.05",
             ),
-            (["random", "--kind", "pure", "--n", "10000000"], "--n 10000000", "2.56"),
+            (["random", "--kind", "pure", "--n", "100000000"], "--n 100000000", "5.00"),
         ],
     )
     def test_too_large_for_memory_exits_one_before_sampling(
@@ -791,10 +819,12 @@ class TestVectorizedStateFileIO:
     def test_write_then_read_is_bit_exact(self, tmp_path, kind, shape):
         data = np.resize(special_values(), shape) if kind == "incoherent" else complex_values(shape)
         path = tmp_path / "s.json"
-        write_state_file(path, kind, data)
+        with open(path, "w") as fh:
+            digest, size = write_state_file(fh, kind, data)
         dims = list(shape) if kind == "bipartite-pure" else [shape[0]]
         element = render_json({"kind": kind, "dims": dims, "data": element_body(kind, data)})
         assert path.read_text() == element + "\n"
+        assert (digest, size) == (state_io.file_digest(path), path.stat().st_size)
         loaded = load_state_file(path)
         assert loaded.kind == kind and loaded.dims == tuple(dims)
         assert np.array_equal(bits(loaded.data), bits(data))
@@ -822,7 +852,7 @@ class TestVectorizedStateFileIO:
             with pytest.raises(ValidationError, match="^reports must contain only finite numbers$"):
                 render_json(obj, 2)
         with pytest.raises(ValidationError, match="^reports must contain only finite numbers$"):
-            write_state_file(tmp_path / "s.json", "pure", np.array([bad, 1.0]))
+            write_state(tmp_path / "s.json", "pure", np.array([bad, 1.0]))
 
     @pytest.mark.parametrize(
         "data",
@@ -906,11 +936,11 @@ class TestInputDigest:
         x = write_pure(tmp_path / "x.json", [0.8, 0.6])
         y = write_pure(tmp_path / "y.json", [2 / 3, 2 / 3, 1 / 3])
         d = tmp_path / "d.json"
-        write_state_file(d, "incoherent", np.array([0.64, 0.36]))
+        write_state(d, "incoherent", np.array([0.64, 0.36]))
         v = tmp_path / "v.json"
-        write_state_file(v, "bipartite-pure", np.diag([0.8, 0.6]))
+        write_state(v, "bipartite-pure", np.diag([0.8, 0.6]))
         sigma = tmp_path / "sigma.json"
-        write_state_file(sigma, "mixed", random_real_separable(2, 4, np.random.default_rng(13)).matrix)
+        write_state(sigma, "mixed", random_real_separable(2, 4, np.random.default_rng(13)).matrix)
         argv = {
             "nearest": ["nearest", "--input", x],
             "verify": ["verify", "--input", x, "--candidate", str(d)],
@@ -971,11 +1001,11 @@ class TestTimings:
         x = write_pure(tmp_path / "x.json", [0.8, 0.6])
         y = write_pure(tmp_path / "y.json", [2 / 3, 2 / 3, 1 / 3])
         d = tmp_path / "d.json"
-        write_state_file(d, "incoherent", np.array([0.64, 0.36]))
+        write_state(d, "incoherent", np.array([0.64, 0.36]))
         v = tmp_path / "v.json"
-        write_state_file(v, "bipartite-pure", np.diag([0.8, 0.6]))
+        write_state(v, "bipartite-pure", np.diag([0.8, 0.6]))
         sigma = tmp_path / "sigma.json"
-        write_state_file(sigma, "mixed", random_real_separable(2, 4, np.random.default_rng(13)).matrix)
+        write_state(sigma, "mixed", random_real_separable(2, 4, np.random.default_rng(13)).matrix)
         argv, files = {
             "measures": (["measures", "--input", x, "--input", y], 2),
             "nearest": (["nearest", "--input", x], 1),
@@ -1028,7 +1058,7 @@ class TestLargeStateFiles:
         assert report["c_tr"] == expected.c_tr
         assert np.array_equal(report["nearest"], expected.nearest.diag)
         cand = tmp_path / "d.json"
-        write_state_file(cand, "incoherent", np.array(report["nearest"]))
+        write_state(cand, "incoherent", np.array(report["nearest"]))
         code, report = run_json(["verify", "--input", str(path), "--candidate", str(cand)], capsys)
         assert code == 0
         assert report["certificate"]["optimal"] is True
@@ -1108,10 +1138,10 @@ class TestLoader:
             "incoherent": ("incoherent", np.array([0.64, 0.36])),
         }
         wrong = tmp_path / "wrong.json"
-        write_state_file(wrong, *docs[found])
+        write_state(wrong, *docs[found])
         x = write_pure(tmp_path / "x.json", [0.8, 0.6])
         d = tmp_path / "d.json"
-        write_state_file(d, *docs["incoherent"])
+        write_state(d, *docs["incoherent"])
         command, _, option = role.partition(" ")
         argv = [command, option or "--input", str(wrong)]
         if role == "verify --input":
@@ -1137,7 +1167,7 @@ class TestLoader:
         from coherence_kit.entanglement import BipartitePureState
 
         path = tmp_path / "v.json"
-        write_state_file(path, "bipartite-pure", np.eye(2) / np.sqrt(2))
+        write_state(path, "bipartite-pure", np.eye(2) / np.sqrt(2))
 
         def built(self):
             raise AssertionError("a bipartite state was built")

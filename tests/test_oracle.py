@@ -14,6 +14,7 @@ from coherence_kit import (
     nearest_incoherent,
     simplex_project,
 )
+from coherence_kit import oracle
 from coherence_kit.core import as_density_matrix
 from coherence_kit.random_states import (
     random_mixed_state,
@@ -182,7 +183,8 @@ class TestBatchedSubgradient:
         results = c_tr_subgradient_many(states, max_iters=150, step_scale=0.02)
         assert_same_runs(results, [subgradient_reference(s, 150, 0.02) for s in states])
 
-    def test_rows_stop_at_different_iterations(self):
+    def test_rows_stop_at_different_iterations(self, monkeypatch):
+        monkeypatch.setattr(oracle, "STALL_WINDOW", 40)
         rng = np.random.default_rng(61)
         states = [
             random_mixed_state(5, rng),
@@ -192,9 +194,10 @@ class TestBatchedSubgradient:
             DensityMatrix(np.eye(5) / 5),
             random_mixed_state(5, rng),
         ]
-        options = {"max_iters": 1500, "step_scale": 0.04, "tol": 1e-7, "stall_window": 40}
+        options = {"max_iters": 1500, "step_scale": 0.04, "tol": 1e-7}
         results = c_tr_subgradient_many(states, **options)
-        assert_same_runs(results, [subgradient_reference(s, **options) for s in states])
+        want = [subgradient_reference(s, **options, stall_window=40) for s in states]
+        assert_same_runs(results, want)
         assert len({r.iterations for r in results}) >= 4
         assert results[1].converged and results[1].iterations == 40
         assert any(not r.converged for r in results)
@@ -209,11 +212,15 @@ class TestBatchedSubgradient:
             {"max_iters": 300, "tol": 1e-3, "stall_window": 5},
         ],
     )
-    def test_budget_and_tolerance_edges(self, options):
+    def test_budget_and_tolerance_edges(self, options, monkeypatch):
+        options = dict(options)
+        window = options.pop("stall_window", oracle.STALL_WINDOW)
+        monkeypatch.setattr(oracle, "STALL_WINDOW", window)
         rng = np.random.default_rng(62)
         states = [random_mixed_state(4, rng) for _ in range(3)] + [DensityMatrix(np.eye(4) / 4)]
         results = c_tr_subgradient_many(states, **options)
-        assert_same_runs(results, [subgradient_reference(s, **options) for s in states])
+        want = [subgradient_reference(s, **options, stall_window=window) for s in states]
+        assert_same_runs(results, want)
         if options["max_iters"] == 0:
             assert all(r.iterations == 0 and not r.converged for r in results)
 
@@ -253,8 +260,9 @@ class TestBatchedSubgradient:
     def test_invalid_state_and_window_are_rejected(self):
         with pytest.raises(ValidationError):
             c_tr_subgradient_many([np.eye(2) / 2, np.eye(2)])
-        with pytest.raises(ValidationError, match="stall_window"):
-            c_tr_subgradient_many([np.eye(2) / 2], stall_window=-1)
+        # The window is the module constant STALL_WINDOW, not an argument.
+        with pytest.raises(TypeError, match="stall_window"):
+            c_tr_subgradient_many([np.eye(2) / 2], stall_window=5)
 
 
 class TestGrid:

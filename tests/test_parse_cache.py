@@ -16,9 +16,10 @@ import pytest
 
 from coherence_kit import cache, cli
 from coherence_kit import io as state_io
-from coherence_kit.io import load_state_file, write_state_file
+from coherence_kit.io import load_state_file
 from coherence_kit.random_states import random_real_separable
 from coherence_kit.trace_distance import nearest_incoherent
+from state_files import write_state
 
 TIMINGS = re.compile(r'"timings": \{[^{}]*\}')
 
@@ -51,7 +52,7 @@ def entry_path(cache_dir, path) -> pathlib.Path:
 
 
 def write_pure(path, amplitudes) -> pathlib.Path:
-    write_state_file(path, "pure", np.asarray(amplitudes, dtype=complex))
+    write_state(path, "pure", np.asarray(amplitudes, dtype=complex))
     return path
 
 
@@ -97,7 +98,7 @@ class TestHits:
     ):
         data = special_values(shape[0]) if kind == "incoherent" else complex_values(shape)
         path = tmp_path / "s.json"
-        write_state_file(path, kind, data)
+        write_state(path, kind, data)
         miss = load_state_file(path)
         assert entry_path(cache_dir, path).is_file()
         no_parse()
@@ -137,11 +138,11 @@ def command_inputs(tmp_path):
     amplitudes = np.array([2 / 3, 2 / 3, 1 / 3])
     x = write_pure(tmp_path / "x.json", amplitudes)
     d = tmp_path / "d.json"
-    write_state_file(d, "incoherent", nearest_incoherent(amplitudes).nearest.diag)
+    write_state(d, "incoherent", nearest_incoherent(amplitudes).nearest.diag)
     rho = tmp_path / "rho.json"
-    write_state_file(rho, "mixed", random_real_separable(2, 4, np.random.default_rng(13)).matrix)
+    write_state(rho, "mixed", random_real_separable(2, 4, np.random.default_rng(13)).matrix)
     v = tmp_path / "v.json"
-    write_state_file(v, "bipartite-pure", np.diag([0.8, 0.6]))
+    write_state(v, "bipartite-pure", np.diag([0.8, 0.6]))
     return {"x": str(x), "d": str(d), "rho": str(rho), "v": str(v)}
 
 
@@ -245,7 +246,7 @@ class TestBadEntries:
     @pytest.mark.parametrize("kind, shape", [("mixed", (3, 4)), ("bipartite-pure", (12,))])
     def test_matrix_kinds_check_their_shape(self, tmp_path, cache_dir, kind, shape):
         path = tmp_path / "rho.json"
-        write_state_file(path, "mixed", np.eye(3, dtype=complex) / 3)
+        write_state(path, "mixed", np.eye(3, dtype=complex) / 3)
         reference = load_state_file(path)
         entry = entry_path(cache_dir, path)
         good = entry.read_bytes()
@@ -255,7 +256,7 @@ class TestBadEntries:
 
     def test_fortran_order_entry_is_a_miss(self, tmp_path, cache_dir):
         path = tmp_path / "v.json"
-        write_state_file(path, "bipartite-pure", complex_values((3, 4)))
+        write_state(path, "bipartite-pure", complex_values((3, 4)))
         reference = load_state_file(path)
         entry = entry_path(cache_dir, path)
         good = entry.read_bytes()

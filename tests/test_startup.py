@@ -16,8 +16,8 @@ import pytest
 import coherence_kit
 from coherence_kit import cli
 from coherence_kit import io as state_io
-from coherence_kit.io import write_state_file
 from coherence_kit.trace_distance import nearest_incoherent
+from state_files import write_state
 
 SRC = str(pathlib.Path(coherence_kit.__file__).resolve().parents[1])
 
@@ -71,8 +71,8 @@ def loaded(modules, *names: str) -> set:
 def pure_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("startup")
     x = np.array([0.6, 0.48, 0.64], dtype=complex)
-    write_state_file(root / "x.json", "pure", x)
-    write_state_file(root / "d.json", "incoherent", nearest_incoherent(x).nearest.diag)
+    write_state(root / "x.json", "pure", x)
+    write_state(root / "d.json", "incoherent", nearest_incoherent(x).nearest.diag)
     return str(root / "x.json"), str(root / "d.json")
 
 
@@ -147,7 +147,7 @@ class TestCliImports:
         # A document of at least CACHE_MIN_BYTES, so the call takes the cache path.
         amplitudes = np.random.default_rng(3).standard_normal((30_000, 2)).view(complex)[:, 0]
         big = tmp_path / "big.json"
-        write_state_file(big, "pure", amplitudes / np.linalg.norm(amplitudes))
+        write_state(big, "pure", amplitudes / np.linalg.norm(amplitudes))
         assert big.stat().st_size >= state_io.CACHE_MIN_BYTES
         entries = pathlib.Path(os.environ["XDG_CACHE_HOME"]) / "coherence-kit"
         small = set(cli_call("nearest", "--input", pure_files[0])["modules"])
