@@ -348,7 +348,8 @@ def cmd_bench(args, inputs: _Inputs) -> tuple[dict | None, int]:
             }
         )
     body = {"sizes": args.sizes, "repetitions": args.repetitions, "results": rows}
-    if len(args.sizes) >= 2:
+    # A line through one distinct size is not determined.
+    if len(set(args.sizes)) >= 2:
         logs_n = np.log([row["n"] for row in rows])
         logs_t = np.log([row["timings"]["best_s"] for row in rows])
         slope = float(np.polyfit(logs_n, logs_t, 1)[0])

@@ -1,6 +1,7 @@
-"""Whole-array ``%.17g``: the text ``io.format_floats`` gives a float array,
+"""Whole-array ``%.17g``: the text of a float array, each element as
+``"%.17g" % x`` gives it, laid out as ``io.render_json`` lays out lists,
 computed in numpy passes instead of one correctly rounded conversion per
-element.
+element. The tests hold the one-pass ``%`` reference it is compared against.
 
 Domain. For a double x with 1e-6 <= |x| < 1e17, let E = floor(log10 |x|)
 and k = 16 - E, so 0 <= k <= 22 and 10^k is an exact double. Dekker's
@@ -135,9 +136,13 @@ def _closings(shape: tuple[int, ...], start: int, stop: int) -> np.ndarray:
 
 
 def format_array(arr: np.ndarray, indent: int = 0, level: int = 0) -> Iterator[str]:
-    """The text ``format_floats(arr.shape, tuple(arr.ravel().tolist()),
-    indent, level)`` of a finite float16, float32 or float64 array with no
-    zero-length axis, as its opening brackets and then the text of each chunk."""
+    """The text ``io._float_template(arr.shape, indent, level) %
+    tuple(arr.ravel().tolist())`` of a finite float16, float32 or float64
+    array, as its opening brackets and then the text of each chunk; an array
+    with no elements is its brackets alone."""
+    if not arr.size:
+        yield io._float_template(arr.shape, indent, level)
+        return
     head, after = _layout(arr.shape, indent, level)
     width = _SEP + max(map(len, after))
     width += width % 2  # whole uint16 columns

@@ -6,13 +6,12 @@ amplitudes bit for bit. Arrays are written and parsed in whole-array numpy
 passes; a document numpy cannot read as one array goes through the per-entry
 parser, which accepts the same documents and names the first bad entry.
 
-A float array with at least ``KERNEL_MIN_NONZERO`` nonzero entries is
-written by the kernel in ``floatfmt``: it computes the digits of every
-element with 1e-6 <= |x| < 1e17 exactly in numpy (Dekker's error-free
-product), and gives every other element, and any whose decimal exponent it
-cannot settle, to one ``%`` pass. A smaller array is one ``%`` pass over a
-template, ``format_floats``, which is also the reference the kernel is
-tested against. Both give the same bytes. Text is made, written, and for a
+Every float array, and every list of numbers, is written by the kernel in
+``floatfmt``: it computes the digits of every element with
+1e-6 <= |x| < 1e17 exactly in numpy (Dekker's error-free product), and
+gives every other element, and any whose decimal exponent it cannot settle,
+to one ``%`` pass. Its text is the bytes ``%.17g`` gives each element, laid
+out as ``render_json`` lays out lists. Text is made, written, and for a
 state file hashed, as a sequence of pieces (``render_pieces``).
 
 A document of at least ``CACHE_MIN_BYTES`` is parsed once: its validated
@@ -49,11 +48,6 @@ _QUOTE_LIMIT = 100
 # Documents of at least this size go through the parse cache. A smaller one
 # parses in milliseconds (6 ms at 240 KB), so it is not worth an entry.
 CACHE_MIN_BYTES = 1 << 20
-
-# Float arrays with at least this many nonzero entries go through the
-# ``floatfmt`` kernel. Its cost is per element, zeros included, while ``%``
-# writes a zero almost for free, so a mostly-zero array stays with ``%``.
-KERNEL_MIN_NONZERO = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,18 +295,10 @@ def state_document(kind: str, data: np.ndarray) -> dict:
     return {"kind": kind, "dims": dims, "data": body}
 
 
-def format_floats(shape: tuple[int, ...], values, indent: int = 0, level: int = 0) -> str:
-    """Floats as JSON text at 17 significant digits, in one ``%`` pass.
-
-    ``shape`` () formats the single float ``values``; otherwise ``values`` is
-    the flat tuple of a float array of that shape, laid out as nested lists
-    the way ``render_json`` lays out lists at ``indent`` and ``level``. No
-    check for finiteness is made here.
-    """
-    return _float_template(shape, indent, level) % values
-
-
 def _float_template(shape: tuple[int, ...], indent: int, level: int) -> str:
+    """The ``%`` template of a float array of ``shape`` (one ``%.17g`` per
+    element) laid out as ``render_json`` lays out lists at ``indent`` and
+    ``level``."""
     if not shape:
         return "%.17g"
     if not shape[0]:
@@ -329,28 +315,22 @@ def _require_finite(finite: bool) -> None:
 
 def format_finite(obj, indent: int = 0, level: int = 0) -> Iterator[str]:
     """A float, a list or tuple of numbers, or a numeric ndarray, as the
-    pieces of its ``format_floats`` text laid out at ``indent`` and ``level``;
-    a ValidationError, before any piece is made, unless every number is finite.
+    pieces of its ``%.17g`` text laid out at ``indent`` and ``level``; a
+    ValidationError, before any piece is made, unless every number is finite.
 
-    A float16, float32 or float64 array with at least ``KERNEL_MIN_NONZERO``
-    nonzero entries is formatted by ``floatfmt``, which gives the same text a
-    chunk at a time as the pieces are taken.
+    A list, tuple or array is formatted by ``floatfmt``, which makes the text
+    a chunk at a time as the pieces are taken.
     """
-    if isinstance(obj, np.ndarray):
-        _require_finite(bool(np.isfinite(obj).all()))
-        if (
-            obj.dtype in (np.float16, np.float32, np.float64)
-            and np.count_nonzero(obj) >= KERNEL_MIN_NONZERO
-        ):
-            from . import floatfmt
+    if not isinstance(obj, (np.ndarray, list, tuple)):
+        _require_finite(math.isfinite(obj))
+        return iter(["%.17g" % obj])
+    if not (isinstance(obj, np.ndarray) and obj.dtype in (np.float16, np.float32, np.float64)):
+        # ``%`` would make every element a double as well.
+        obj = np.asarray(obj, dtype=np.float64)
+    _require_finite(bool(np.isfinite(obj).all()))
+    from . import floatfmt
 
-            return floatfmt.format_array(obj, indent, level)
-        return iter([format_floats(obj.shape, tuple(obj.ravel().tolist()), indent, level)])
-    if isinstance(obj, (list, tuple)):
-        _require_finite(all(map(math.isfinite, obj)))
-        return iter([format_floats((len(obj),), tuple(obj), indent, level)])
-    _require_finite(math.isfinite(obj))
-    return iter([format_floats((), obj)])
+    return floatfmt.format_array(obj, indent, level)
 
 
 def render_pieces(obj, indent: int = 0) -> Iterator[str]:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -15,7 +16,6 @@ from coherence_kit import cli, entanglement, oracle, random_states, trace_distan
 from coherence_kit import io as state_io
 from coherence_kit.core import PureState, ValidationError
 from coherence_kit.io import (
-    format_floats,
     load_state_file,
     parse_state_document,
     render_json,
@@ -30,6 +30,7 @@ from coherence_kit.random_states import (
     random_real_separable,
 )
 from coherence_kit.trace_distance import nearest_incoherent
+from float_reference import format_floats
 from state_files import write_state
 
 
@@ -507,6 +508,20 @@ class TestBenchAndOracle:
         assert len(report["results"]) == 2
         assert "loglog_slope" in report
 
+    def test_bench_fits_no_line_through_one_distinct_size(self, capsys):
+        # pytest would catch a warning before it reached stderr.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["bench", "--sizes", "10,10", "--repetitions", "1"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert caught == []
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert [row["n"] for row in report["results"]] == [10, 10]
+        assert "loglog_slope" not in report
+        assert "scaling_consistent_with_nlogn" not in report
+
     def test_bench_thousand_under_five_ms(self, capsys):
         code, report = run_json(
             ["bench", "--sizes", "1000", "--repetitions", "5", "--seed", "0"], capsys
@@ -658,7 +673,7 @@ class TestTableFormat:
             assert not target.exists()
 
     def test_large_arrays_match_the_percent_pass(self):
-        values = np.resize(special_values(), (state_io.KERNEL_MIN_NONZERO, 2))
+        values = np.resize(special_values(), (5000, 2))
         (line,) = cli._flatten({"a": {"b": values}})
         assert line == ("a.b", format_floats(values.shape, tuple(values.ravel().tolist())))
         assert cli._flatten({"c": values[:, 0].tolist()}) == [
@@ -1043,7 +1058,6 @@ class TestLargeStateFiles:
         monkeypatch.setattr(state_io, "_parse_complex", forbidden)
         monkeypatch.setattr(state_io, "_parse_real", forbidden)
         monkeypatch.setattr(state_io, "_holds_bool", forbidden)
-        monkeypatch.setattr(state_io, "_encode_complex", forbidden, raising=False)
         # The whole-array parse is under test here: no load may skip it through the parse cache.
         monkeypatch.setattr(state_io, "CACHE_MIN_BYTES", float("inf"))
         path = tmp_path / "x.json"

@@ -4,22 +4,27 @@
 ``format_floats(a.shape, tuple(a.ravel().tolist()), indent, level)`` for
 every finite float array; the inputs below aim at its exactness argument
 (powers of ten, 17-digit ties, the edges of its domain) and at its layout
-(chunk edges, shapes, indents and levels).
+(chunk edges, shapes, indents and levels). ``io.format_finite`` sends every
+list and array to it.
 """
+
+import collections
+import tracemalloc
 
 import numpy as np
 import pytest
+from float_reference import format_floats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from test_cli import special_values
 
 from coherence_kit import floatfmt
-from coherence_kit import io as state_io
 from coherence_kit.core import ValidationError
-from coherence_kit.io import format_finite, format_floats, render_json
+from coherence_kit.io import format_finite, render_json, render_pieces
 
-THRESHOLD = state_io.KERNEL_MIN_NONZERO
+# Elements in most arrays below: half of ``floatfmt.CHUNK``.
+SIZE = 4096
 
 
 def reference(a: np.ndarray, indent: int = 0, level: int = 0) -> str:
@@ -69,17 +74,17 @@ class TestAgainstPercentFormatting:
 
     def test_powers_of_ten_and_their_neighbours(self):
         values = powers_of_ten()
-        assert_same_text(np.resize(values, 2 * THRESHOLD))
-        assert_same_text(np.resize(values, (THRESHOLD, 2)), 2, 1)
+        assert_same_text(np.resize(values, 2 * SIZE))
+        assert_same_text(np.resize(values, (SIZE, 2)), 2, 1)
 
     def test_exact_ties_round_half_even(self):
         # 1e15 + 0.25 and 1e15 + 0.75 are doubles with 18 significant digits
         # ending in 5: the 17th digit rounds to even, 2 stays and 7 becomes 8.
         ties = np.array([1000000000000000.25, 1000000000000000.75, -1000000000000000.25])
-        text = "".join(floatfmt.format_array(np.resize(ties, THRESHOLD)))
+        text = "".join(floatfmt.format_array(np.resize(ties, SIZE)))
         assert text.startswith("[1000000000000000.2, 1000000000000000.8, -1000000000000000.2, ")
-        drawn = np.random.default_rng(3).integers(0, 10**15, size=THRESHOLD)
-        halves = 1e15 + drawn + np.resize([0.25, 0.75, 0.5, 0.125], THRESHOLD)
+        drawn = np.random.default_rng(3).integers(0, 10**15, size=SIZE)
+        halves = 1e15 + drawn + np.resize([0.25, 0.75, 0.5, 0.125], SIZE)
         assert_same_text(halves)
 
     def test_zeros_subnormals_extremes_and_random_bits(self):
@@ -88,23 +93,23 @@ class TestAgainstPercentFormatting:
             1.7976931348623157e308, -1.7976931348623157e308, 1e-6, 9.999999999999999e-7,
             1e17, 99999999999999984.0, 9007199254740993.0,
         ]
-        assert_same_text(np.resize(fixed, THRESHOLD))
-        assert_same_text(random_bit_patterns(3 * THRESHOLD, seed=19))
+        assert_same_text(np.resize(fixed, SIZE))
+        assert_same_text(random_bit_patterns(3 * SIZE, seed=19))
 
     def test_every_decimal_exponent_and_short_decimals(self):
         rng = np.random.default_rng(23)
-        spread = rng.choice([-1.0, 1.0], 2 * THRESHOLD) * 10 ** rng.uniform(-9, 19, 2 * THRESHOLD)
+        spread = rng.choice([-1.0, 1.0], 2 * SIZE) * 10 ** rng.uniform(-9, 19, 2 * SIZE)
         assert_same_text(spread)
-        scale = rng.choice([1, 2, 8, 10, 100, 1000, 1024, 1e6], 2 * THRESHOLD)
-        assert_same_text(rng.integers(-10**6, 10**6, 2 * THRESHOLD) / scale)
+        scale = rng.choice([1, 2, 8, 10, 100, 1000, 1024, 1e6], 2 * SIZE)
+        assert_same_text(rng.integers(-10**6, 10**6, 2 * SIZE) / scale)
 
     def test_float32_input_and_strided_real_views(self):
-        assert_same_text(amplitudes(2 * THRESHOLD).astype(np.float32))
-        assert_same_text(amplitudes(THRESHOLD).astype(np.float16))
+        assert_same_text(amplitudes(2 * SIZE).astype(np.float32))
+        assert_same_text(amplitudes(SIZE).astype(np.float16))
         z = amplitudes((70, 90, 2)).view(complex)[..., 0]
         assert not z.real.flags.c_contiguous
         assert_same_text(z.real, 2, 1)
-        assert_same_text(amplitudes((THRESHOLD, 3))[:, 1])
+        assert_same_text(amplitudes((SIZE, 3))[:, 1])
 
     @pytest.mark.parametrize("indent, level", [(0, 0), (0, 1), (2, 0), (2, 1), (2, 3), (4, 2)])
     @pytest.mark.parametrize("shape", [(5000,), (2500, 2), (3, 1500, 2), (5, 1, 2)])
@@ -114,12 +119,33 @@ class TestAgainstPercentFormatting:
         assert_same_text(values, indent, level)
 
 
+SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=40)
+
+
+@st.composite
+def sparse_arrays(draw) -> np.ndarray:
+    """float64 arrays of about 99 % zeros, both signs of zero among them, as
+    the weights of a `nearest` report are."""
+    values = np.zeros(draw(SHAPES))
+    flat = values.reshape(-1)
+    entries = st.integers(0, flat.size - 1)
+    few = max(1, flat.size // 100)
+    flat[draw(st.lists(entries, max_size=few))] = -0.0
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    for i, value in draw(st.lists(st.tuples(entries, finite), min_size=1, max_size=few)):
+        flat[i] = value
+    return values
+
+
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(
-    hnp.arrays(
-        dtype=st.sampled_from([np.float64, np.float32]),
-        shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=40),
-        elements={"allow_nan": False, "allow_infinity": False},
+    st.one_of(
+        hnp.arrays(
+            dtype=st.sampled_from([np.float64, np.float32]),
+            shape=SHAPES,
+            elements={"allow_nan": False, "allow_infinity": False},
+        ),
+        sparse_arrays(),
     ),
     st.sampled_from([0, 2]),
     st.integers(0, 3),
@@ -128,9 +154,25 @@ def test_hypothesis_arrays_match_percent_formatting(values, indent, level):
     assert_same_text(values, indent, level)
 
 
+def test_sparse_weights_render_in_a_few_megabytes():
+    # A `nearest` report's weights at n = 10^6 have about 20 nonzero entries.
+    # The kernel holds one chunk's work at a time; one ``%`` pass over the
+    # array would hold 10^6 Python floats, about 54 MB.
+    weights = np.zeros(10**6)
+    picked = np.random.default_rng(7).choice(weights.size, 19, replace=False)
+    weights[picked] = amplitudes(19) ** 2
+    tracemalloc.start()
+    try:
+        collections.deque(render_pieces({"nearest": weights}, 2), maxlen=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6
+
+
 class TestDispatch:
-    """``format_finite`` sends an array to the kernel only when it has enough
-    nonzero entries, and every path gives the same text."""
+    """``format_finite`` sends every list and array to the kernel, whatever
+    its zeros or dtype, and gives the reference's text."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -138,34 +180,71 @@ class TestDispatch:
         kernel = floatfmt.format_array
 
         def counted(arr, indent=0, level=0):
-            calls.append(arr.shape)
+            calls.append((arr.shape, arr.dtype))
             return kernel(arr, indent, level)
 
         monkeypatch.setattr(floatfmt, "format_array", counted)
         return calls
 
-    def test_threshold_counts_nonzero_entries(self, kernel_calls):
-        values = amplitudes((THRESHOLD, 2))
-        assert render_json({"data": values}, 2) == render_json({"data": values.tolist()}, 2)
-        assert kernel_calls == [(THRESHOLD, 2)]
+    def test_dense_and_mostly_zero_arrays_go_to_the_kernel(self, kernel_calls):
+        values = amplitudes((SIZE, 2))
+        assert render_json({"data": values}, 2) == '{\n  "data": ' + reference(values, 2, 1) + "\n}"
         sparse = np.zeros(10**5)
-        sparse[:THRESHOLD - 1] = amplitudes(THRESHOLD - 1)
-        assert "".join(format_finite(sparse)) == reference(sparse)
-        sparse[-1] = 0.5
-        assert "".join(format_finite(sparse)) == reference(sparse)
-        assert kernel_calls == [(THRESHOLD, 2), (10**5,)]
+        sparse[[3, 500, 77_777]] = [0.5, -0.25, 0.25]
+        sparse[[4, 99_999]] = -0.0
+        for indent, level in ((0, 0), (2, 1)):
+            assert "".join(format_finite(sparse, indent, level)) == reference(sparse, indent, level)
+        float64 = np.dtype(np.float64)
+        assert kernel_calls == [((SIZE, 2), float64)] + [((10**5,), float64)] * 2
 
-    def test_other_dtypes_keep_the_percent_pass(self, kernel_calls):
-        longdouble = np.resize(special_values(), THRESHOLD).astype(np.longdouble)
-        ints = np.arange(1, THRESHOLD + 1)
-        assert "".join(format_finite(ints)) == reference(ints)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_float32_and_float16_arrays_go_to_the_kernel(self, kernel_calls, dtype):
+        special = special_values()
+        special = special[np.abs(special) <= np.finfo(dtype).max]
+        values = np.resize(special, (SIZE, 2)).astype(dtype)
+        assert "".join(format_finite(values, 2, 1)) == reference(values, 2, 1)
+        assert kernel_calls == [(values.shape, np.dtype(dtype))]
+
+    def test_int_and_longdouble_arrays_go_to_the_kernel(self, kernel_calls):
+        ints = np.arange(-SIZE, SIZE).reshape(-1, 2) * 10**12
+        longdouble = np.resize(special_values(), SIZE).astype(np.longdouble) / 3
+        assert "".join(format_finite(ints, 2)) == reference(ints, 2)
         assert "".join(format_finite(longdouble)) == reference(longdouble)
-        assert kernel_calls == []
+        float64 = np.dtype(np.float64)
+        assert kernel_calls == [(ints.shape, float64), (longdouble.shape, float64)]
+
+    def test_lists_go_to_the_kernel(self, kernel_calls):
+        floats = special_values().tolist()
+        mixed = [1, -2, 2**70, 0.5, -0.0, 10**17]
+        for values in (floats, mixed, tuple(mixed)):
+            expected = format_floats((len(values),), tuple(values), 2, 1)
+            assert "".join(format_finite(values, 2, 1)) == expected
+        assert [shape for shape, _ in kernel_calls] == [(len(floats),), (6,), (6,)]
+
+    @pytest.mark.parametrize(
+        "shape, indent, text",
+        [
+            ((0,), 0, "[]"),
+            ((0,), 2, "[]"),
+            ((2, 0), 0, "[[], []]"),
+            ((2, 0), 2, "[\n    [],\n    []\n  ]"),
+        ],
+    )
+    def test_empty_arrays_are_their_brackets(self, kernel_calls, shape, indent, text):
+        values = np.empty(shape)
+        assert "".join(format_finite(values, indent, 1)) == text == reference(values, indent, 1)
+        assert kernel_calls == [(shape, np.dtype(np.float64))]
+
+    def test_empty_list_is_its_brackets(self):
+        assert "".join(format_finite([])) == "[]"
+        assert "".join(format_finite((), 2, 1)) == "[]"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_entries_are_refused_before_the_kernel(self, kernel_calls, bad):
-        values = amplitudes(2 * THRESHOLD)
+        values = amplitudes(2 * SIZE)
         values[-1] = bad
         with pytest.raises(ValidationError, match="^reports must contain only finite"):
             format_finite(values)
+        with pytest.raises(ValidationError, match="^reports must contain only finite"):
+            format_finite([0.5, bad])
         assert kernel_calls == []
