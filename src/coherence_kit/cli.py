@@ -42,7 +42,6 @@ from . import __version__
 from .core import InconclusiveCertificateError, PureState, ValidationError
 from .io import (
     StateFile,
-    format_finite,
     load_state_file,
     render_pieces,
     to_state,
@@ -83,7 +82,7 @@ def _flatten(obj, prefix="", out=None):
         for i, value in enumerate(obj):
             _flatten(value, f"{prefix[:-1]}[{i}].", out)
     elif isinstance(obj, (np.ndarray, list, float)):
-        out.append((prefix[:-1], "".join(format_finite(obj))))
+        out.append((prefix[:-1], "".join(render_pieces(obj))))
     elif isinstance(obj, bool):
         out.append((prefix[:-1], "true" if obj else "false"))
     else:
@@ -91,12 +90,21 @@ def _flatten(obj, prefix="", out=None):
     return out
 
 
+def _sparse(weights: np.ndarray) -> dict:
+    """A nearest-incoherent weight vector as reports print it: the ascending
+    indices of its nonzero weights, and those weights."""
+    support = np.flatnonzero(weights)
+    return {"support": support, "weights": weights[support]}
+
+
 @contextlib.contextmanager
 def _output(output: str | None):
     """The file at ``output`` opened for writing, or stdout without one; an
-    OSError opening or writing it is a ValidationError naming the path."""
+    OSError opening or writing the file is a ValidationError naming the path.
+    Stdout is flushed on the way out, so a reader that has gone shows here."""
     if not output:
         yield sys.stdout
+        sys.stdout.flush()
         return
     try:
         with open(output, "w") as fh:
@@ -187,7 +195,7 @@ def cmd_measures(args, inputs: _Inputs) -> tuple[dict | None, int]:
                     "approximate": False,
                     "k": result.k,
                     "q_k": result.q_k,
-                    "nearest": result.nearest.diag,
+                    "nearest": _sparse(result.nearest.diag),
                     "operator_norm_distance": result.mu,
                 }
             else:
@@ -205,7 +213,7 @@ def cmd_measures(args, inputs: _Inputs) -> tuple[dict | None, int]:
                 "approximate": True,
                 "iterations": oracle.iterations,
                 "converged": oracle.converged,
-                "nearest": oracle.argmin.diag,
+                "nearest": _sparse(oracle.argmin.diag),
             }
     body = {
         "requested": args.measure or "all applicable",
@@ -224,7 +232,7 @@ def cmd_nearest(args, inputs: _Inputs) -> tuple[dict | None, int]:
     body = {
         "k": result.k,
         "q_k": result.q_k,
-        "nearest": result.nearest.diag,
+        "nearest": _sparse(result.nearest.diag),
         "mu": result.mu,
         "c_tr": result.c_tr,
         "operator_norm_distance": result.mu,
@@ -257,7 +265,7 @@ def cmd_entanglement(args, inputs: _Inputs) -> tuple[dict | None, int]:
     body = {
         "schmidt_coefficients": lam.amplitudes.real,
         "e_tr": result.c_tr,
-        "nearest_schmidt_weights": result.nearest.diag,
+        "nearest_schmidt_weights": _sparse(result.nearest.diag),
         # N = C_l1(lambda) / 2 and E_r = C_r(lambda), as the bound check computed them.
         "negativity": check.two_n / 2.0,
         "e_r": check.e_r,
@@ -372,7 +380,7 @@ def cmd_oracle(args, inputs: _Inputs) -> tuple[dict | None, int]:
         "method": args.method,
         "approximate": True,
         "value": result.value,
-        "argmin": result.argmin.diag,
+        "argmin": _sparse(result.argmin.diag),
         "iterations": result.iterations,
         "converged": result.converged,
     }
@@ -520,6 +528,13 @@ def main(argv=None) -> int:
     except (InconclusiveCertificateError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except BrokenPipeError:
+        # The reader of stdout has gone. What is still buffered goes to
+        # os.devnull, so the interpreter's last flush finds no broken pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_VALIDATION
     return code
 
 

@@ -29,6 +29,7 @@ handed on as soon as it is made.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 
@@ -114,13 +115,13 @@ def _number_rows() -> np.ndarray:
 _NUMBER_ROWS = _number_rows()
 
 
-def _layout(shape: tuple[int, ...], indent: int, level: int) -> tuple[str, list[str]]:
-    """The text before the first element of a nested list of ``shape``, and
-    the text after an element at which c trailing axes close, for c = 0 ..
-    len(shape) - 1, then after the last element: the pieces between the
+def _layout(ndim: int, indent: int, level: int) -> tuple[str, list[str]]:
+    """The text before the first element of a nested list of ``ndim`` axes,
+    and the text after an element at which c trailing axes close, for c = 0
+    .. ndim - 1, then after the last element: the pieces between the
     elements of the ``%`` template of shape (2, ..., 2)."""
-    pieces = io._float_template((2,) * len(shape), indent, level).split("%.17g")
-    return pieces[0], [pieces[2**c] for c in range(len(shape))] + [pieces[-1]]
+    pieces = io._float_template((2,) * ndim, indent, level).split("%.17g")
+    return pieces[0], [pieces[2**c] for c in range(ndim)] + [pieces[-1]]
 
 
 def _closings(shape: tuple[int, ...], start: int, stop: int) -> np.ndarray:
@@ -135,6 +136,23 @@ def _closings(shape: tuple[int, ...], start: int, stop: int) -> np.ndarray:
     return count
 
 
+@functools.cache
+def _row_table(ndim: int, indent: int, level: int) -> tuple[str, int, np.ndarray]:
+    """For an array of ``ndim`` axes laid out at ``indent`` and ``level``: the
+    text before its first element, the number of separators, and the
+    read-only table of whole rows, indexed ``number * separators + closings``."""
+    head, after = _layout(ndim, indent, level)
+    width = _SEP + max(map(len, after))
+    width += width % 2  # whole uint16 columns
+    table = np.zeros((_NUMBER_ROWS.shape[0], len(after), width), dtype=np.uint8)
+    table[:, :, :_SEP] = _NUMBER_ROWS[:, None, :]
+    for c, sep in enumerate(after):
+        table[:, c, _SEP : _SEP + len(sep)] = np.frombuffer(sep.encode(), np.uint8)
+    table = table.reshape(-1, width)
+    table.flags.writeable = False
+    return head, len(after), table
+
+
 def format_array(arr: np.ndarray, indent: int = 0, level: int = 0) -> Iterator[str]:
     """The text ``io._float_template(arr.shape, indent, level) %
     tuple(arr.ravel().tolist())`` of a finite float16, float32 or float64
@@ -143,14 +161,8 @@ def format_array(arr: np.ndarray, indent: int = 0, level: int = 0) -> Iterator[s
     if not arr.size:
         yield io._float_template(arr.shape, indent, level)
         return
-    head, after = _layout(arr.shape, indent, level)
-    width = _SEP + max(map(len, after))
-    width += width % 2  # whole uint16 columns
-    table = np.zeros((_NUMBER_ROWS.shape[0], len(after), width), dtype=np.uint8)
-    table[:, :, :_SEP] = _NUMBER_ROWS[:, None, :]
-    for c, sep in enumerate(after):
-        table[:, c, _SEP : _SEP + len(sep)] = np.frombuffer(sep.encode(), np.uint8)
-    table = table.reshape(-1, width)
+    head, separators, table = _row_table(arr.ndim, indent, level)
+    width = table.shape[1]
 
     flat = arr.reshape(-1)
     chunk = min(CHUNK, flat.size)
@@ -165,7 +177,7 @@ def format_array(arr: np.ndarray, indent: int = 0, level: int = 0) -> Iterator[s
         m = stop - start
         x = flat[start:stop].astype(np.float64)
         numbers, groups, fallback = _numbers(x)
-        codes = numbers * len(after) + _closings(arr.shape, start, stop)
+        codes = numbers * separators + _closings(arr.shape, start, stop)
         table.take(codes, axis=0, out=rows[:m], mode="clip")
         _DIGITS4.take(groups, out=digits[:m], mode="clip")
         rows.view(np.uint16)[:m, _DIGIT0 // 2 : _EXP // 2] &= digits[:m].view(np.uint16)[:, 3:]

@@ -38,6 +38,10 @@ PURE_INPUTS = {
     "phased-qutrit": np.array([1 / 3, 2j / 3, -2 / 3]),
     "signed-zeros": np.array([0.6, 0.0, 0.8j, -0.0]),
     "random-1000": random_pure_state(1000, np.random.default_rng(7)).amplitudes,
+    # s_k - k q_k cancels on this state; weights divided by it do not sum to 1.
+    "near-uniform-1000": 1 + 1e-4 * np.random.default_rng(5).standard_normal(1000),
+    # Repeated moduli and zero amplitudes: the support lists original indices in order.
+    "ties-and-zeros": np.array([0.4, 0, -0.4, 0.6, 0, 0.4j, 0.2, 0, -0.2j, 0.4]),
 }
 
 

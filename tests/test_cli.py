@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -48,6 +49,20 @@ def run_cli(args, capsys):
 def run_json(args, capsys):
     code, out = run_cli(args + ["--format", "json"], capsys)
     return code, json.loads(out) if out else None
+
+
+def dense_weights(field: dict, n: int) -> np.ndarray:
+    """The length-n weight vector a report's ``{support, weights}`` field
+    stands for; the support must be ascending indices of nonzero weights."""
+    assert set(field) == {"support", "weights"}
+    support, weights = field["support"], field["weights"]
+    assert all(type(i) is int for i in support)
+    assert len(support) == len(weights)
+    assert np.all(np.diff(support) > 0) and 0 <= support[0] and support[-1] < n
+    assert 0.0 not in weights
+    d = np.zeros(n)
+    d[support] = weights
+    return d
 
 
 class TestStateFiles:
@@ -103,7 +118,7 @@ class TestMeasures:
         assert values["tr"]["value"] == pytest.approx((3 + np.sqrt(17)) / 6, abs=1e-12)
         assert values["tr"]["k"] == 2
         assert values["tr"]["approximate"] is False
-        assert values["tr"]["nearest"] == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
+        assert dense_weights(values["tr"]["nearest"], 3) == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
 
     def test_basis_state_all_zero(self, tmp_path, capsys):
         path = write_pure(tmp_path / "e1.json", [1.0, 0.0, 0.0, 0.0])
@@ -306,7 +321,7 @@ class TestNearestAndVerify:
         code, report = run_json(["nearest", "--input", path], capsys)
         assert code == 0
         assert report["c_tr"] == pytest.approx(0.96, abs=1e-12)
-        assert report["nearest"] == pytest.approx([0.64, 0.36], abs=1e-12)
+        assert dense_weights(report["nearest"], 2) == pytest.approx([0.64, 0.36], abs=1e-12)
 
     def test_verify_optimal_exit_zero(self, tmp_path, capsys):
         state = write_pure(tmp_path / "x.json", [2 / 3, 2 / 3, 1 / 3])
@@ -347,7 +362,7 @@ class TestNearestAndVerify:
         code, report = run_json(["nearest", "--input", path], capsys)
         assert code == 0
         assert report["c_tr"] == pytest.approx(1.0, abs=1e-15)
-        assert report["nearest"] == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert dense_weights(report["nearest"], 2) == pytest.approx([0.5, 0.5], abs=1e-15)
 
     def test_amplitudes_whose_squares_underflow(self, tmp_path, capsys):
         path = write_pure(tmp_path / "x.json", [1e-160, 1e-160])
@@ -554,7 +569,8 @@ class TestBenchAndOracle:
         code, report = run_json(["oracle", "--input", str(path), "--max-iters", "0"], capsys)
         assert code == 0
         assert report["iterations"] == 0
-        assert report["argmin"] == pytest.approx(np.real(np.diag(rho.matrix)).tolist(), abs=1e-12)
+        argmin = dense_weights(report["argmin"], 3)
+        assert argmin == pytest.approx(np.real(np.diag(rho.matrix)).tolist(), abs=1e-12)
 
     def test_grid_refuses_large_n_before_densifying(self, tmp_path, capsys, monkeypatch):
         def projector(self):
@@ -587,7 +603,7 @@ class TestBenchAndOracle:
         path = write_pure(tmp_path / "x.json", [0.5, 0.5, 0.5, 0.5])
         code, report = run_json(["oracle", "--input", path, "--method", "grid"], capsys)
         assert code == 0
-        assert report["argmin"] == [1.0, 0.0, 0.0, 0.0]
+        assert dense_weights(report["argmin"], 4).tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_oracle_grid(self, tmp_path, capsys):
         path = write_pure(tmp_path / "x.json", [2 / 3, 2 / 3, 1 / 3])
@@ -1070,9 +1086,10 @@ class TestLargeStateFiles:
         expected = nearest_incoherent(PureState(x.amplitudes))
         assert report["k"] == expected.k
         assert report["c_tr"] == expected.c_tr
-        assert np.array_equal(report["nearest"], expected.nearest.diag)
+        nearest = dense_weights(report["nearest"], 100_000)
+        assert np.array_equal(nearest, expected.nearest.diag)
         cand = tmp_path / "d.json"
-        write_state(cand, "incoherent", np.array(report["nearest"]))
+        write_state(cand, "incoherent", nearest)
         code, report = run_json(["verify", "--input", str(path), "--candidate", str(cand)], capsys)
         assert code == 0
         assert report["certificate"]["optimal"] is True
@@ -1084,8 +1101,13 @@ class TestLargeStateFiles:
         assert code == 0
         result = nearest_incoherent(to_state(load_state_file(path)))
         lines = dict(line.split(" = ", 1) for line in out.splitlines())
-        per_element = ", ".join(format(float(v), ".17g") for v in result.nearest.diag)
-        assert lines["nearest"] == "[" + per_element + "]"
+        support = np.flatnonzero(result.nearest.diag)
+        per_element = ", ".join(format(float(v), ".17g") for v in result.nearest.diag[support])
+        assert lines["nearest.support"] == "[" + ", ".join(map(str, support)) + "]"
+        assert lines["nearest.weights"] == "[" + per_element + "]"
+        dense = np.zeros(x.dim)
+        dense[json.loads(lines["nearest.support"])] = json.loads(lines["nearest.weights"])
+        assert np.array_equal(dense, result.nearest.diag)
         assert lines["c_tr"] == format(result.c_tr, ".17g")
         assert lines["mu"] == format(result.mu, ".17g")
         assert lines["k"] == str(result.k)
@@ -1282,3 +1304,65 @@ class TestOutputErrors:
         assert result.returncode == 1
         assert result.stderr == f"error: {target}: No such file or directory\n"
         assert "Traceback" not in result.stderr
+
+
+class TestClosedStdout:
+    """A reader that stops reading early ends the call quietly: exit 1, no traceback."""
+
+    @staticmethod
+    def start(argv):
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parents[1]))
+        return subprocess.Popen(
+            [sys.executable, "-m", "coherence_kit.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+
+    @staticmethod
+    def finish(child) -> bytes:
+        err = child.stderr.read()
+        child.stderr.close()
+        child.wait(timeout=120)
+        return err
+
+    def test_random_read_for_ten_bytes(self):
+        # The 5 MB document outgrows the pipe, so the writer is still writing.
+        child = self.start(["random", "--n", "100000"])
+        head = child.stdout.read(10)
+        child.stdout.close()
+        assert head == b'{"kind": "'
+        assert self.finish(child) == b""
+        assert child.returncode == 1
+
+    def test_measures_whose_reader_left_before_it_wrote(self, tmp_path):
+        path = write_pure(tmp_path / "x.json", [2 / 3, 2 / 3, 1 / 3])
+        child = self.start(["measures", "--input", path])
+        child.stdout.close()
+        assert self.finish(child) == b""
+        assert child.returncode == 1
+
+
+class TestNearUniformStates:
+    """Weights whose denominator s_k - k q_k cancels: the uniform state and states
+    close to it. Each exits 0 with weights that sum to 1."""
+
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [
+            np.ones(1000),
+            np.ones(100_000),
+            1 + 1e-4 * np.random.default_rng(5).standard_normal(1000),
+            1 + 1e-3 * np.random.default_rng(2).standard_normal(3000),
+        ],
+        ids=["uniform-1000", "uniform-100000", "eps1e-4-seed5-1000", "eps1e-3-seed2-3000"],
+    )
+    @pytest.mark.parametrize("command", ["nearest", "measures"])
+    def test_weights_sum_to_one(self, tmp_path, capsys, amplitudes, command):
+        path = write_pure(tmp_path / "x.json", amplitudes)
+        code, report = run_json([command, "--input", path], capsys)
+        assert code == 0
+        tr = report if command == "nearest" else report["states"][0]["values"]["tr"]
+        weights = dense_weights(tr["nearest"], amplitudes.size)
+        assert abs(math.fsum(weights) - 1.0) <= 1e-15
+        if np.all(amplitudes == 1.0):
+            assert tr["k"] == amplitudes.size
+            assert np.abs(weights * amplitudes.size - 1.0).max() <= 1e-12

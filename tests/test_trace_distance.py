@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coherence_kit import (
     PureState,
@@ -12,6 +14,7 @@ from coherence_kit import (
     prefix_stats,
 )
 from coherence_kit.random_states import random_pure_state
+from coherence_kit.trace_distance import _prefix_stats
 from dense_reference import operator_norm, trace_norm
 
 QUTRIT = [2 / 3, 2 / 3, 1 / 3]
@@ -272,3 +275,69 @@ class TestMaxCoherenceBound:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
             max_coherence_bound(0)
+
+
+# The fast paths of the solver against their definitions: canonicalize's
+# default sort (stable only on ties) against the stable sort, and the unchecked
+# in-place prefix pass against the formulas evaluated as written.
+
+
+def prefix_stats_by_definition(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(s, m, p, q) of a descending positive-led unit vector, each formula
+    evaluated as written, one array expression at a time."""
+    n = x.size
+    s = np.cumsum(x)
+    tail = np.cumsum((x * x)[::-1])[::-1]
+    m = np.append(tail[1:], 0.0)
+    ell = np.arange(1, n + 1, dtype=float)
+    p = s * s - 1.0 - ell * m
+    disc = np.sqrt(p * p + 4.0 * ell * m * s * s)
+    q = np.empty(n)
+    pos = p >= 0.0
+    q[pos] = (p[pos] + disc[pos]) / (2.0 * ell[pos] * s[pos])
+    q[~pos] = 2.0 * m[~pos] * s[~pos] / (disc[~pos] - p[~pos])
+    return s, m, p, q
+
+
+@st.composite
+def tied_amplitudes(draw) -> np.ndarray:
+    """Amplitudes whose moduli repeat: runs of a few drawn moduli, zero often
+    among them, with phases from {1, -1, i, -i}, in run order or shuffled."""
+    moduli = draw(st.lists(st.just(0.0) | st.floats(1e-3, 1e3), min_size=1, max_size=4))
+    runs = draw(
+        st.lists(st.tuples(st.integers(0, len(moduli) - 1), st.integers(1, 700)), min_size=1, max_size=8)
+    )
+    x = np.concatenate([np.full(length, moduli[i]) for i, length in runs])
+    if not x.any():
+        x[0] = 1.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = rng.permutation(x)
+    if draw(st.booleans()):
+        # Distinct moduli beside the runs.
+        x = np.concatenate([x, rng.random(draw(st.integers(0, 300)))])
+    return x * rng.choice(np.array([1, -1, 1j, -1j]), size=x.size)
+
+
+FUZZ = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+@FUZZ
+@given(tied_amplitudes())
+def test_canonicalize_is_the_stable_sort(amplitudes):
+    x = PureState(amplitudes)
+    form = canonicalize(x)
+    stable = np.argsort(-np.abs(x.amplitudes), kind="stable")
+    assert np.array_equal(form.permutation, stable)
+    assert np.array_equal(form.moduli, np.abs(x.amplitudes)[stable])
+
+
+@FUZZ
+@given(tied_amplitudes())
+def test_prefix_pass_is_its_definition_bit_for_bit(amplitudes):
+    moduli = canonicalize(amplitudes).moduli
+    support = moduli[: np.count_nonzero(moduli)]
+    expected = prefix_stats_by_definition(support)
+    for stats in (_prefix_stats(support), prefix_stats(support)):
+        for got, want in zip((stats.s, stats.m, stats.p, stats.q), expected):
+            assert got.tobytes() == want.tobytes()
