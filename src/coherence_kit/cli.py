@@ -42,6 +42,7 @@ from . import __version__
 from .core import InconclusiveCertificateError, PureState, ValidationError
 from .io import (
     StateFile,
+    format_finite,
     load_state_file,
     render_pieces,
     to_state,
@@ -82,7 +83,7 @@ def _flatten(obj, prefix="", out=None):
         for i, value in enumerate(obj):
             _flatten(value, f"{prefix[:-1]}[{i}].", out)
     elif isinstance(obj, (np.ndarray, list, float)):
-        out.append((prefix[:-1], "".join(render_pieces(obj))))
+        out.append((prefix[:-1], "".join(format_finite(obj))))
     elif isinstance(obj, bool):
         out.append((prefix[:-1], "true" if obj else "false"))
     else:
@@ -529,11 +530,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except BrokenPipeError:
-        # The reader of stdout has gone. What is still buffered goes to
-        # os.devnull, so the interpreter's last flush finds no broken pipe.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # The reader of stdout has gone; ``run`` silences what is still buffered.
         return EXIT_VALIDATION
     return code
 
@@ -543,12 +540,22 @@ def run() -> None:
 
     The process runs without the cyclic garbage collector, and everything it
     holds at exit is frozen, so interpreter shutdown does not walk it all in
-    a final collection. ``main`` alone, as a library call, leaves the
-    collector as it found it.
+    a final collection. When the reader of stdout has gone, stdout is pointed
+    at os.devnull, so the interpreter's last flush finds no broken pipe.
+    ``main`` alone, as a library call, leaves the collector and stdout as it
+    found them.
     """
     gc.disable()
     try:
-        sys.exit(main())
+        code = main()
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            code = EXIT_VALIDATION
+        sys.exit(code)
     finally:
         gc.freeze()
 

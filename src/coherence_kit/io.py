@@ -342,17 +342,14 @@ def render_pieces(obj, indent: int = 0) -> Iterator[str]:
 
 
 def _parts(obj, indent: int, level: int):
-    """The pieces of ``render_pieces``, but with the text of a float ndarray,
-    or of a list of nothing but Python floats, as the iterator of its one
-    ``format_finite`` pass, and that of a 1-D integer ndarray as one string;
-    ints, bools and numpy scalars are elements."""
-    if (isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind == "f") or (
+    """The pieces of ``render_pieces``, but with the text of a float or
+    integer ndarray, or of a list of nothing but Python floats, as the
+    iterator of its one ``format_finite`` pass; ints, bools and numpy scalars
+    are elements."""
+    if (isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind in "fiu") or (
         isinstance(obj, (list, tuple)) and obj and all(type(v) is float for v in obj)
     ):
         yield format_finite(obj, indent, level)
-    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu":
-        first, between, last = _separators(indent, level)
-        yield "[" + first + between.join(map(str, obj.tolist())) + last + "]" if obj.size else "[]"
     elif isinstance(obj, dict) and obj:
         keys = (json.dumps(str(k)) + ": " for k in obj)
         yield from _wrap(keys, obj.values(), "{}", indent, level)

@@ -72,16 +72,10 @@ def canonicalize(x) -> CanonicalForm:
     """Sort the moduli of a pure state in descending order.
 
     The sort is stable: entries with equal modulus keep their relative order.
-    Without ties every sort gives that one permutation, so numpy's default
-    sort runs first, and the stable sort only when two sorted moduli are equal.
     """
-    keys = -np.abs(as_pure_state(x).amplitudes)
-    order = np.argsort(keys)
-    ordered = keys[order]
-    if (ordered[1:] == ordered[:-1]).any():
-        order = np.argsort(keys, kind="stable")
-        ordered = keys[order]
-    return CanonicalForm(moduli=np.negative(ordered, out=ordered), permutation=order)
+    moduli = np.abs(as_pure_state(x).amplitudes)
+    order = np.argsort(-moduli, kind="stable")
+    return CanonicalForm(moduli=moduli[order], permutation=order)
 
 
 def _sorted_unit_moduli(moduli) -> np.ndarray:
@@ -110,24 +104,23 @@ def prefix_stats(moduli) -> PrefixStats:
     x = _sorted_unit_moduli(moduli)
     if float(x[0]) <= 0.0:
         raise ValidationError("moduli must have at least one positive entry")
-    return _prefix_stats(x)
-
-
-def _prefix_stats(x: np.ndarray) -> PrefixStats:
-    """``prefix_stats`` of a descending unit float vector with a positive
-    first entry, unchecked."""
     n = x.size
+
     s = np.cumsum(x)
+    sq = x * x
     # Suffix sums accumulate from the tail so the small entries add first.
+    tail = np.cumsum(sq[::-1])[::-1]
     m = np.empty(n)
-    m[:-1] = np.cumsum((x * x)[:0:-1])[::-1]
+    m[:-1] = tail[1:]
     m[-1] = 0.0
     ell = np.arange(1, n + 1, dtype=float)
     p = s * s - 1.0 - ell * m
     disc = np.sqrt(p * p + 4.0 * ell * m * s * s)
+    q = np.empty(n)
     pos = p >= 0.0
-    q = np.divide(p + disc, 2.0 * ell * s, out=np.empty(n), where=pos)
-    np.divide(2.0 * m * s, disc - p, out=q, where=~pos)
+    q[pos] = (p[pos] + disc[pos]) / (2.0 * ell[pos] * s[pos])
+    neg = ~pos
+    q[neg] = 2.0 * m[neg] * s[neg] / (disc[neg] - p[neg])
     return PrefixStats(s=s, m=m, p=p, q=q)
 
 
@@ -156,13 +149,11 @@ def nearest_incoherent(x) -> TraceDistanceResult:
     y = canon.moduli
     support = int(np.count_nonzero(y > 0.0))
     ys = y[:support]
-    # The support of a validated state is a descending unit vector led by a positive entry.
-    stats = _prefix_stats(ys)
+    stats = prefix_stats(ys)
     k = find_k(ys, stats)
     q_k = float(stats.q[k - 1])
     s_k = float(stats.s[k - 1])
     m_k = float(stats.m[k - 1])
-    del stats
     mu = q_k * s_k + m_k
 
     amps = state.amplitudes

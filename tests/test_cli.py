@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -1339,6 +1340,18 @@ class TestClosedStdout:
         child.stdout.close()
         assert self.finish(child) == b""
         assert child.returncode == 1
+
+    def test_main_in_process_returns_1_and_leaves_stdout_alone(self, tmp_path, monkeypatch):
+        # A stdout with no file descriptor, as under a capturing wrapper.
+        class GoneReader(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        path = write_pure(tmp_path / "x.json", [2 / 3, 2 / 3, 1 / 3])
+        gone = GoneReader()
+        monkeypatch.setattr(sys, "stdout", gone)
+        assert cli.main(["measures", "--input", path]) == 1
+        assert sys.stdout is gone
 
 
 class TestNearUniformStates:
