@@ -473,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_non_negative_int, default=0)
 
     p = command("bench", cmd_bench, "time the closed-form solver across sizes")
-    p.add_argument("--sizes", type=_sizes, default="1000,10000,100000,1000000")
+    p.add_argument("--sizes", type=_sizes, default="10000,100000,1000000")
     p.add_argument("--repetitions", type=_positive_int, default=3)
     p.add_argument("--seed", type=_non_negative_int, default=0)
 

@@ -12,8 +12,10 @@ distance is half of that, attained by the eigenvector
 (q_k, ..., q_k, x_{k+1}, ..., x_n).
 
 k comes from one vectorized comparison and every prefix quantity from one
-O(n) pass after the O(n log n) sort; the answer is written back in place at
-the k largest entries.
+O(n) pass after the O(n log n) sort of the moduli's values; no permutation of
+all n entries is formed.  Only the indices of the k largest entries are
+selected, in the stable order ``canonicalize`` gives, and the answer is
+written back in place there.
 """
 
 from __future__ import annotations
@@ -72,10 +74,25 @@ def canonicalize(x) -> CanonicalForm:
     """Sort the moduli of a pure state in descending order.
 
     The sort is stable: entries with equal modulus keep their relative order.
+    This is the reference order: ``nearest_incoherent`` sorts only the values
+    and rebuilds the first k slots of this permutation, with the same result.
     """
     moduli = np.abs(as_pure_state(x).amplitudes)
     order = np.argsort(-moduli, kind="stable")
     return CanonicalForm(moduli=moduli[order], permutation=order)
+
+
+def _top_k(moduli: np.ndarray, threshold: float, k: int) -> np.ndarray:
+    """The first k slots of the stable descending order of ``moduli``, where
+    ``threshold`` is the k-th largest modulus.
+
+    Fewer than k entries lie strictly above the threshold; they are sorted
+    stably. The slots left go to the first entries equal to it, in index order.
+    """
+    above = np.flatnonzero(moduli > threshold)
+    above = above[np.argsort(-moduli[above], kind="stable")]
+    tied = np.flatnonzero(moduli == threshold)[: k - above.size]
+    return np.concatenate((above, tied))
 
 
 def _sorted_unit_moduli(moduli) -> np.ndarray:
@@ -137,16 +154,19 @@ def find_k(moduli, stats: PrefixStats | None = None) -> int:
 def nearest_incoherent(x) -> TraceDistanceResult:
     """Nearest incoherent state of a pure state under the trace norm.
 
-    Sorts the moduli, restricts to the support (leading positive block) so the
-    closed form never divides by a vanishing amplitude, and writes the k
-    weights and eigenvector entries back at the k largest moduli.  The
-    minimizer is unique whenever every amplitude is nonzero; with zero
-    amplitudes the support-restricted solution is returned without a
+    Sorts the values of the moduli, restricts to the support (leading positive
+    block) so the closed form never divides by a vanishing amplitude, selects
+    the indices of the k largest moduli (ties in index order, as in
+    ``canonicalize``) and writes the k weights and eigenvector entries back
+    there.  The minimizer is unique whenever every amplitude is nonzero; with
+    zero amplitudes the support-restricted solution is returned without a
     uniqueness claim.  Runs in O(n log n) and never forms an n x n matrix.
     """
     state = as_pure_state(x)
-    canon = canonicalize(state)
-    y = canon.moduli
+    moduli = np.abs(state.amplitudes)
+    # The sorted values do not depend on how ties are ordered, so the default
+    # sort gives the same y, and the same prefix sums, as canonicalize's.
+    y = np.sort(moduli)[::-1]
     support = int(np.count_nonzero(y > 0.0))
     ys = y[:support]
     stats = prefix_stats(ys)
@@ -157,7 +177,7 @@ def nearest_incoherent(x) -> TraceDistanceResult:
     mu = q_k * s_k + m_k
 
     amps = state.amplitudes
-    top = canon.permutation[:k]
+    top = _top_k(moduli, y[k - 1], k)
     d = np.zeros(y.size)
     # s_k - k q_k is the sum of the k gaps x_j - q_k; summed as gaps it does
     # not cancel when q_k is close to the x_j.

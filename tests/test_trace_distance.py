@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coherence_kit import (
+    IncoherentState,
     PureState,
     ValidationError,
     canonicalize,
@@ -14,6 +15,7 @@ from coherence_kit import (
     prefix_stats,
 )
 from coherence_kit.random_states import random_pure_state
+from coherence_kit.trace_distance import _top_k
 from dense_reference import operator_norm, trace_norm
 
 QUTRIT = [2 / 3, 2 / 3, 1 / 3]
@@ -311,3 +313,86 @@ def test_canonicalize_is_the_stable_sort(amplitudes):
     stable = np.argsort(-np.abs(x.amplitudes), kind="stable")
     assert np.array_equal(form.permutation, stable)
     assert np.array_equal(form.moduli, np.abs(x.amplitudes)[stable])
+
+
+# nearest_incoherent sorts only the values of the moduli and rebuilds the top
+# k of the stable order. The reference below is the solver before that change:
+# the full stable permutation from canonicalize, scattered at its first k slots.
+
+
+def stable_order_reference(x):
+    """(k, q_k, mu, c_tr, weights, eigenvector) through canonicalize's full order."""
+    state = PureState(x)
+    canon = canonicalize(state)
+    y = canon.moduli
+    ys = y[: int(np.count_nonzero(y > 0.0))]
+    stats = prefix_stats(ys)
+    k = find_k(ys, stats)
+    q_k = float(stats.q[k - 1])
+    mu = q_k * float(stats.s[k - 1]) + float(stats.m[k - 1])
+    top = canon.permutation[:k]
+    d = np.zeros(y.size)
+    gaps = ys[:k] - q_k
+    d[top] = gaps / gaps.sum()
+    amps = state.amplitudes
+    v = amps.copy()
+    v[top] = q_k * (amps[top] / y[:k])
+    return k, q_k, mu, 2.0 * mu, IncoherentState(d).diag, v
+
+
+def assert_same_as_reference(x):
+    res = nearest_incoherent(x)
+    got = (res.k, res.q_k, res.mu, res.c_tr, res.nearest.diag, res.eigenvector)
+    names = ("k", "q_k", "mu", "c_tr", "weights", "eigenvector")
+    for name, a, b in zip(names, got, stable_order_reference(x)):
+        assert np.array_equal(a, b), name
+
+
+def split_tie(n: int) -> np.ndarray:
+    """n - 1 ones and 2(n-1)/(n-2) in the middle. That entry puts x_2 = q_2 in
+    exact arithmetic, and with it x_l = q_l all along the run of ones, so
+    rounding ends the support inside the run."""
+    x = np.ones(n)
+    x[n // 2] = 2 * (n - 1) / (n - 2)
+    return x
+
+
+NAMED = {
+    "uniform": np.ones(1000),
+    "near-uniform": 1 + 1e-4 * np.random.default_rng(5).normal(size=3000),
+    "spike": np.concatenate([[1.0], np.full(999, 1e-12)]),
+    "split-tie-5": split_tie(5),
+    "split-tie-1000": split_tie(1000) * np.resize([1, -1, 1j, -1j], 1000),
+}
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_nearest_matches_the_stable_order_reference(name):
+    assert_same_as_reference(NAMED[name])
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (1000, 41)])
+def test_split_tie_has_more_tied_entries_than_slots(n, k):
+    res = nearest_incoherent(split_tie(n))
+    assert res.k == k
+    # The big entry and the first k - 1 ones, in index order.
+    support = np.flatnonzero(res.nearest.diag).tolist()
+    assert support == sorted([n // 2] + [i for i in range(n) if i != n // 2][: k - 1])
+
+
+@FUZZ
+@given(tied_amplitudes())
+def test_nearest_matches_the_stable_order_reference_on_ties(amplitudes):
+    assert_same_as_reference(amplitudes)
+
+
+@FUZZ
+@given(tied_amplitudes(), st.floats(0.0, 1.0))
+def test_top_k_is_the_head_of_the_stable_order(amplitudes, fraction):
+    # Any k, so that ties at the k-th modulus are split far more often than
+    # the solver's own k splits them.
+    x = PureState(amplitudes)
+    moduli = np.abs(x.amplitudes)
+    k = 1 + int(fraction * (moduli.size - 1))
+    threshold = np.sort(moduli)[::-1][k - 1]
+    assert np.array_equal(_top_k(moduli, threshold, k), canonicalize(x).permutation[:k])
