@@ -6,8 +6,9 @@ Run from the repository root after a change that is meant to alter a report:
 
 The script writes the input state files under ``inputs/`` (fixed amplitudes
 and fixed seeds), runs each case through ``cli.main`` from this directory, and
-stores its stdout, with the timings masked, under ``reports/`` and its exit
-code in ``cases.json``. ``tests/test_golden.py`` replays the same cases.
+stores its stdout, with the timings masked, under ``reports/<name>.out``, its
+stderr, when there is any, under ``reports/<name>.err`` and its exit code in
+``cases.json``. ``tests/test_golden.py`` replays the same cases.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import os
 import pathlib
 import re
+from unittest import mock
 
 import numpy as np
 
@@ -105,20 +107,45 @@ def cases() -> list[dict]:
     # ``random`` writes state documents, which have one format.
     argv = ["random", "--n", "3", "--seed", "1"]
     table.append({"name": "random-pure-3", "argv": argv, "lapack": False})
+    argv = ["random", "--kind", "mixed", "--n", "3", "--seed", "1"]
+    table.append({"name": "random-mixed-3", "argv": argv, "lapack": False})
+    # The parser's own text: help, version and usage errors, on stdout or stderr.
+    usage = [
+        ("help", ["--help"]),
+        *((f"{command}-help", [command, "--help"]) for command in COMMANDS),
+        ("version", ["--version"]),
+        ("no-command", []),
+        ("unknown-command", ["frobnicate"]),
+        ("nearest-without-input", ["nearest"]),
+        ("random-n-0", ["random", "--n", "0"]),
+        ("unknown-option", ["nearest", "--input", "inputs/qutrit.json", "--frobnicate"]),
+    ]
+    table += [{"name": f"usage-{name}", "argv": argv, "lapack": False} for name, argv in usage]
     return table
 
 
-def run_case(argv: list[str]) -> tuple[int, str]:
-    """Exit code and masked stdout of one ``cli.main`` call from this directory."""
-    out = io.StringIO()
+COMMANDS = (
+    "measures", "nearest", "verify", "entanglement", "channel-verify", "random", "bench", "oracle"
+)
+
+
+def run_case(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, masked stdout and stderr of one ``cli.main`` call from this
+    directory; a parser exit is caught, and help text wraps at 80 columns."""
+    out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(HERE)
     try:
-        with contextlib.redirect_stdout(out):
-            code = cli.main(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.dict(
+            os.environ, COLUMNS="80"
+        ):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code or 0
     finally:
         os.chdir(cwd)
-    return code, mask_timings(out.getvalue())
+    return code, mask_timings(out.getvalue()), err.getvalue()
 
 
 def main() -> None:
@@ -127,8 +154,10 @@ def main() -> None:
     reports.mkdir(exist_ok=True)
     table = cases()
     for case in table:
-        case["exit_code"], stdout = run_case(case["argv"])
+        case["exit_code"], stdout, stderr = run_case(case["argv"])
         (reports / f"{case['name']}.out").write_text(stdout)
+        if stderr:
+            (reports / f"{case['name']}.err").write_text(stderr)
     lines = ",\n".join(json.dumps(case) for case in table)
     (HERE / "cases.json").write_text(f"[\n{lines}\n]\n")
 

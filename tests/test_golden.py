@@ -1,8 +1,9 @@
 """CLI reports on fixed inputs match the committed golden reports.
 
 Each case in ``tests/golden/cases.json`` is one ``cli.main`` call; its stdout,
-with the timings masked, must equal the stored report and its exit code the
-stored code. Floats compare exactly, except in cases flagged ``lapack``, whose
+with the timings masked, must equal the stored report, its stderr the stored
+``.err`` text (none when there is no file), and its exit code the stored
+code. Help, version and usage errors are cases too. Floats compare exactly, except in cases flagged ``lapack``, whose
 floats come from a LAPACK call (an SVD or an eigendecomposition): those
 compare within 1e-12 relative, so the corpus survives another LAPACK build.
 ``tests/golden/regenerate.py`` rewrites the corpus.
@@ -37,7 +38,9 @@ def assert_same_report(actual: str, expected: str, lapack: bool) -> None:
 
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
 def test_report_matches_golden(case):
-    code, stdout = regenerate.run_case(case["argv"])
+    code, stdout, stderr = regenerate.run_case(case["argv"])
     assert code == case["exit_code"]
     expected = (GOLDEN / "reports" / f"{case['name']}.out").read_text()
     assert_same_report(stdout, expected, case["lapack"])
+    err = GOLDEN / "reports" / f"{case['name']}.err"
+    assert stderr == (err.read_text() if err.exists() else "")
