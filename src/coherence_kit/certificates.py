@@ -26,7 +26,7 @@ exact) whenever A - D is invertible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,14 +56,12 @@ class NonInvertibleDifferenceError(ValidationError):
     """A - D is singular; that case needs a semidefinite feasibility search."""
 
 
-@dataclass(frozen=True)
-class PureCertificate:
+class PureCertificate(NamedTuple):
     optimal: bool
     margin: float
 
 
-@dataclass(frozen=True)
-class MixedCertificate:
+class MixedCertificate(NamedTuple):
     certified: bool
     margin: float
 

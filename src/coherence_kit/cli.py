@@ -34,7 +34,6 @@ import itertools
 import os
 import sys
 import time
-from dataclasses import asdict
 
 import numpy as np
 
@@ -247,10 +246,10 @@ def cmd_verify(args, inputs: _Inputs) -> tuple[dict | None, int]:
     sf, state = inputs.load(args.input, "verify --input", "pure", "mixed")
     _, candidate = inputs.load(args.candidate, "verify --candidate", "incoherent")
     if sf.kind == "pure":
-        certificate = asdict(verify_pure_optimality(state, candidate, tol=args.tol))
+        certificate = verify_pure_optimality(state, candidate, tol=args.tol)._asdict()
         passed = certificate["optimal"]
     else:
-        certificate = asdict(verify_mixed_invertible(state, candidate, tol=args.tol))
+        certificate = verify_mixed_invertible(state, candidate, tol=args.tol)._asdict()
         passed = certificate["certified"]
     return {"certificate": certificate}, EXIT_OK if passed else EXIT_CERTIFICATE
 
@@ -270,7 +269,7 @@ def cmd_entanglement(args, inputs: _Inputs) -> tuple[dict | None, int]:
         # N = C_l1(lambda) / 2 and E_r = C_r(lambda), as the bound check computed them.
         "negativity": check.two_n / 2.0,
         "e_r": check.e_r,
-        "bound_check": asdict(check),
+        "bound_check": check._asdict(),
     }
     return body, EXIT_OK
 
@@ -305,20 +304,20 @@ def cmd_channel_verify(args, inputs: _Inputs) -> tuple[dict | None, int]:
         v = random_schmidt_state(args.local_dim, rng)
     check = verify_channel_pipeline(sigma, v, tol=args.tol)
     passed = check.incoherent_ok and check.fixed_point_ok
-    return {"local_dim": args.local_dim, **asdict(check)}, EXIT_OK if passed else EXIT_CERTIFICATE
+    return {"local_dim": args.local_dim, **check._asdict()}, EXIT_OK if passed else EXIT_CERTIFICATE
 
 
 def cmd_random(args, inputs: _Inputs) -> tuple[dict | None, int]:
-    from . import cache, io as state_io
+    from . import io as state_io
     from .random_states import random_bipartite_pure, random_mixed_state, random_pure_state
 
     m = args.m or args.n
     entries = {"pure": args.n, "mixed": args.n * args.n, "bipartite-pure": m * args.n}[args.kind]
     flags = f"--m {m} --n {args.n}" if args.kind == "bipartite-pure" else f"--n {args.n}"
-    # Peak child RSS less start-up is about 80 bytes per entry for a mixed
-    # state (n x n matrices while it is sampled and checked) and 33 for the
-    # others, plus half as much again; the text is written a piece at a time.
-    _require_memory("random", flags, (120 if args.kind == "mixed" else 50) * entries)
+    # Peak child RSS less start-up is about 50 bytes per entry for a mixed
+    # state (G, its conjugate and G G^dagger while it is sampled) and 33 for
+    # the others, plus half as much again; the text is written a piece at a time.
+    _require_memory("random", flags, (75 if args.kind == "mixed" else 50) * entries)
     rng = np.random.default_rng(args.seed)
     with _output(args.output) as out:
         for _ in range(args.count):
@@ -330,6 +329,8 @@ def cmd_random(args, inputs: _Inputs) -> tuple[dict | None, int]:
                 data = random_bipartite_pure(m, args.n, rng).amplitudes
             digest, size = write_state_file(out, args.kind, data)
             if args.output and args.count == 1 and size >= state_io.CACHE_MIN_BYTES:
+                from . import cache
+
                 # The file holds exactly these bytes, and they parse back to ``data``.
                 cache.store(digest, args.kind, data)
             del data
@@ -425,67 +426,73 @@ def _sizes(text: str) -> list[int]:
     return sizes
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser. Every command is registered with its help line, so
+    help and an unknown command list them all, but only ``command`` gets its
+    options, or every command when it is None: a call builds its own only."""
     parser = _Parser(
         prog="coherence-kit",
         description="Coherence and entanglement measures with certificates and oracles",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, summary):
+    # Each command's handler, help line and options, as (flag, add_argument keywords).
+    commands = {
+        "measures": (cmd_measures, "coherence measures of a state file", [
+            ("--input", dict(action="append", required=True, help="state file (repeatable)")),
+            ("--measure", dict(action="append", choices=MEASURE_CHOICES)),
+            ("--max-iters", dict(
+                type=_non_negative_int, default=20000, help="mixed-state oracle budget")),
+            ("--step-scale", dict(type=_step_scale, default=0.02)),
+        ]),
+        "nearest": (cmd_nearest, "nearest incoherent state of a pure state", [
+            ("--input", dict(required=True)),
+        ]),
+        "verify": (cmd_verify, "certify a nearest-incoherent candidate", [
+            ("--input", dict(required=True)),
+            ("--candidate", dict(required=True, help="incoherent state document")),
+            ("--tol", dict(type=_tolerance, default=None)),
+        ]),
+        "entanglement": (cmd_entanglement, "entanglement measures of a bipartite pure state", [
+            ("--input", dict(required=True)),
+        ]),
+        "channel-verify": (cmd_channel_verify, "run the PPT-to-incoherent channel pipeline", [
+            ("--sigma", dict(help="mixed state document on an n(x)n space")),
+            ("--input", dict(help="bipartite-pure document in Schmidt form")),
+            ("--local-dim", dict(type=_positive_int, default=3)),
+            ("--terms", dict(type=_positive_int, default=6, help="product terms for random sigma")),
+            ("--tol", dict(type=_tolerance, default=None)),
+            ("--seed", dict(type=_non_negative_int, default=0)),
+        ]),
+        "random": (cmd_random, "sample state files (JSON lines)", [
+            ("--kind", dict(choices=("pure", "mixed", "bipartite-pure"), default="pure")),
+            ("--n", dict(type=_positive_int, required=True)),
+            ("--m", dict(
+                type=_positive_int, default=None, help="left dimension for bipartite states")),
+            ("--count", dict(type=_positive_int, default=1)),
+            ("--seed", dict(type=_non_negative_int, default=0)),
+        ]),
+        "bench": (cmd_bench, "time the closed-form solver across sizes", [
+            ("--sizes", dict(type=_sizes, default="10000,100000,1000000")),
+            ("--repetitions", dict(type=_positive_int, default=3)),
+            ("--seed", dict(type=_non_negative_int, default=0)),
+        ]),
+        "oracle": (cmd_oracle, "brute-force trace-distance minimization", [
+            ("--input", dict(required=True)),
+            ("--method", dict(choices=("subgradient", "grid"), default="subgradient")),
+            ("--max-iters", dict(type=_non_negative_int, default=20000)),
+            ("--step-scale", dict(type=_step_scale, default=0.02)),
+            ("--resolution", dict(type=_positive_int, default=300)),
+            ("--tol", dict(type=_tolerance, default=1e-10)),
+        ]),
+    }
+    for name, (handler, summary, options) in commands.items():
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
-        return p
-
-    p = command("measures", cmd_measures, "coherence measures of a state file")
-    p.add_argument("--input", action="append", required=True, help="state file (repeatable)")
-    p.add_argument("--measure", action="append", choices=MEASURE_CHOICES)
-    p.add_argument(
-        "--max-iters", type=_non_negative_int, default=20000, help="mixed-state oracle budget"
-    )
-    p.add_argument("--step-scale", type=_step_scale, default=0.02)
-
-    p = command("nearest", cmd_nearest, "nearest incoherent state of a pure state")
-    p.add_argument("--input", required=True)
-
-    p = command("verify", cmd_verify, "certify a nearest-incoherent candidate")
-    p.add_argument("--input", required=True)
-    p.add_argument("--candidate", required=True, help="incoherent state document")
-    p.add_argument("--tol", type=_tolerance, default=None)
-
-    p = command("entanglement", cmd_entanglement, "entanglement measures of a bipartite pure state")
-    p.add_argument("--input", required=True)
-
-    p = command("channel-verify", cmd_channel_verify, "run the PPT-to-incoherent channel pipeline")
-    p.add_argument("--sigma", help="mixed state document on an n(x)n space")
-    p.add_argument("--input", help="bipartite-pure document in Schmidt form")
-    p.add_argument("--local-dim", type=_positive_int, default=3)
-    p.add_argument("--terms", type=_positive_int, default=6, help="product terms for random sigma")
-    p.add_argument("--tol", type=_tolerance, default=None)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
-
-    p = command("random", cmd_random, "sample state files (JSON lines)")
-    p.add_argument("--kind", choices=("pure", "mixed", "bipartite-pure"), default="pure")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--m", type=_positive_int, default=None, help="left dimension for bipartite states")
-    p.add_argument("--count", type=_positive_int, default=1)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
-
-    p = command("bench", cmd_bench, "time the closed-form solver across sizes")
-    p.add_argument("--sizes", type=_sizes, default="10000,100000,1000000")
-    p.add_argument("--repetitions", type=_positive_int, default=3)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
-
-    p = command("oracle", cmd_oracle, "brute-force trace-distance minimization")
-    p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=("subgradient", "grid"), default="subgradient")
-    p.add_argument("--max-iters", type=_non_negative_int, default=20000)
-    p.add_argument("--step-scale", type=_step_scale, default=0.02)
-    p.add_argument("--resolution", type=_positive_int, default=300)
-    p.add_argument("--tol", type=_tolerance, default=1e-10)
-
-    for name, p in sub.choices.items():
+        if command is not None and command != name:
+            continue
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
         if name != "random":
             p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--output", help="write here instead of stdout")
@@ -493,7 +500,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The top level takes only -h and --version, which take no value, so the
+    # first token that is not an option names the command, if any does.
+    command = next((token for token in argv if not token.startswith("-")), "")
+    args = build_parser(command).parse_args(argv)
     inputs = _Inputs()
     try:
         started = time.perf_counter()

@@ -1,10 +1,9 @@
 """Numerical tolerances used across the toolkit, collected in one record."""
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     """Tolerance knobs for validation and certification.
 
     construction: elementwise and aggregate checks when building state objects.

@@ -2,13 +2,14 @@
 
 Everything in this module is a pure function over immutable values.  The state
 classes validate (and, where documented, renormalize) on construction and are
-never mutated afterwards, so concurrent use needs no locking.
+never mutated afterwards, so concurrent use needs no locking.  They compare by
+identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,18 +102,25 @@ def _hermitian_matrix(matrix, tol: float, what: str) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
+class _ReadOnly:
+    """Attributes are set once, in ``__init__``, through ``object.__setattr__``."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PureState(_ReadOnly):
     """A unit vector of complex amplitudes.
 
     The vector is renormalized on construction, so the stored object always
     satisfies sum_j |x_j|^2 = 1 to machine precision.
     """
 
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _unit_amplitudes(self.amplitudes, 1, "pure state"))
+    def __init__(self, amplitudes):
+        object.__setattr__(self, "amplitudes", _unit_amplitudes(amplitudes, 1, "pure state"))
 
     @property
     def dim(self) -> int:
@@ -132,8 +140,7 @@ class PureState:
         return np.asarray(self.amplitudes, dtype=dtype)
 
 
-@dataclass(frozen=True, eq=False)
-class BipartitePureState:
+class BipartitePureState(_ReadOnly):
     """Pure state on an m (x) n space, stored as its coefficient matrix.
 
     ``amplitudes[i, j]`` multiplies |i>|j>; the matrix is Frobenius-normalized
@@ -141,10 +148,8 @@ class BipartitePureState:
     roots.
     """
 
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _unit_amplitudes(self.amplitudes, 2, "bipartite"))
+    def __init__(self, amplitudes):
+        object.__setattr__(self, "amplitudes", _unit_amplitudes(amplitudes, 2, "bipartite"))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -156,8 +161,7 @@ class BipartitePureState:
         return np.outer(k, k.conj())
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_ReadOnly):
     """Hermitian, positive semidefinite, trace-one matrix.
 
     ``eigenvalues`` is its spectrum in ascending order, as
@@ -166,11 +170,9 @@ class DensityMatrix:
     construction.
     """
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, matrix):
         tols = DEFAULT_TOLERANCES
-        m = _hermitian_matrix(self.matrix, tols.construction, "density matrix")
+        m = _hermitian_matrix(matrix, tols.construction, "density matrix")
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > tols.construction:
             raise ValidationError(f"density matrix trace is {trace:.17g}, expected 1")
@@ -206,8 +208,7 @@ class DensityMatrix:
         return np.asarray(self.matrix, dtype=dtype)
 
 
-@dataclass(frozen=True, eq=False)
-class IncoherentState:
+class IncoherentState(_ReadOnly):
     """Probability vector read as a diagonal density matrix.
 
     Entries within the construction tolerance below zero are clipped to zero,
@@ -215,10 +216,8 @@ class IncoherentState:
     residual of the compensated sum is absorbed into the largest entry.
     """
 
-    diag: np.ndarray
-
-    def __post_init__(self):
-        d = _probability_vector(self.diag, "incoherent state")
+    def __init__(self, diag):
+        d = _probability_vector(diag, "incoherent state")
         d = d / float(np.sum(d))
         for _ in range(2):
             residual = float(np.sum(d)) - 1.0
@@ -238,8 +237,7 @@ class IncoherentState:
         return np.asarray(self.diag, dtype=dtype)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Eigenvalues in descending order with matching orthonormal eigenvector columns."""
 
     eigenvalues: np.ndarray

@@ -22,7 +22,7 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ class ChannelConstructionError(ValidationError):
     """The channel weights cannot be built from the supplied state."""
 
 
-@dataclass(frozen=True, eq=False)
-class SchmidtData:
+class SchmidtData(NamedTuple):
     """Descending Schmidt coefficients with the local bases that realize them.
 
     ``amplitudes == left @ diag(coefficients) @ right.T`` with orthonormal
@@ -56,8 +55,7 @@ class SchmidtData:
     right: np.ndarray
 
 
-@dataclass(frozen=True)
-class NegativityBoundCheck:
+class NegativityBoundCheck(NamedTuple):
     e_r: float
     two_n: float
     old_bound: float
@@ -65,8 +63,7 @@ class NegativityBoundCheck:
     improves: bool
 
 
-@dataclass(frozen=True)
-class ChannelPipelineCheck:
+class ChannelPipelineCheck(NamedTuple):
     incoherent_ok: bool
     fixed_point_ok: bool
     offdiag_mass: float

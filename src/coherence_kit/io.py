@@ -16,7 +16,8 @@ state file hashed, as a sequence of pieces (``render_pieces``).
 
 A document of at least ``CACHE_MIN_BYTES`` is parsed once: its validated
 contents are memoized on disk under the sha256 digest of its bytes (see
-``cache``), and a later load of the same bytes reads them back from there.
+``cache``, imported only for such a document), and a later load of the same
+bytes reads them back from there.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ import itertools
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from . import cache
 from .core import (
     BipartitePureState,
     DensityMatrix,
@@ -50,8 +50,7 @@ _QUOTE_LIMIT = 100
 CACHE_MIN_BYTES = 1 << 20
 
 
-@dataclass(frozen=True, eq=False)
-class StateFile:
+class StateFile(NamedTuple):
     """Parsed state document: kind, explicit dims, complex data array.
 
     ``digest`` is the sha256 hex digest of the bytes that were parsed, set
@@ -258,14 +257,18 @@ def load_state_file(path) -> StateFile:
     may_hold_bools = b"true" in raw or b"false" in raw
     sf = parse_state_document(doc, source=str(path), may_hold_bools=may_hold_bools)
     if cacheable:
+        from . import cache
+
         cache.store(digest, sf.kind, sf.data)
-    return replace(sf, digest=digest)
+    return sf._replace(digest=digest)
 
 
 def _cached_state_file(digest: str) -> StateFile | None:
     """The StateFile the parse cache holds under ``digest``, or None when
     there is no entry or its array lacks the dtype, rank or shape a parse of
     its kind gives."""
+    from . import cache
+
     entry = cache.lookup(digest)
     if entry is None or entry[0] not in STATE_KINDS:
         return None

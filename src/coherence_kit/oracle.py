@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .core import IncoherentState, ValidationError, as_density_matrix
 STALL_WINDOW = 100
 
 
-@dataclass(frozen=True, eq=False)
-class OracleResult:
+class OracleResult(NamedTuple):
     value: float
     argmin: IncoherentState
     iterations: int

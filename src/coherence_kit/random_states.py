@@ -14,10 +14,14 @@ def random_pure_state(n: int, rng: np.random.Generator) -> PureState:
 
 
 def random_mixed_state(n: int, rng: np.random.Generator) -> DensityMatrix:
-    """Normalized G G^dagger for a square standard complex Gaussian G."""
+    """Normalized G G^dagger for a square standard complex Gaussian G.
+
+    Hermitian and positive semidefinite by construction, so the n x n
+    validation copies and eigenvalue check of ``DensityMatrix`` are skipped.
+    """
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    return DensityMatrix._trusted(m / np.trace(m).real)
 
 
 def random_bipartite_pure(m: int, n: int, rng: np.random.Generator) -> BipartitePureState:

@@ -20,23 +20,21 @@ written back in place there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import IncoherentState, ValidationError, as_pure_state
 
 
-@dataclass(frozen=True, eq=False)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Descending moduli; canonical slot ``i`` holds original index ``permutation[i]``."""
 
     moduli: np.ndarray
     permutation: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class PrefixStats:
+class PrefixStats(NamedTuple):
     """Prefix statistics of a sorted modulus vector.
 
     s[l-1] = x_1 + ... + x_l
@@ -51,8 +49,7 @@ class PrefixStats:
     q: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class TraceDistanceResult:
+class TraceDistanceResult(NamedTuple):
     """Nearest incoherent state in the original index order, with the operator-norm
     distance ``mu`` that ``eigenvector`` attains and ``c_tr = 2 mu``."""
 
@@ -64,8 +61,7 @@ class TraceDistanceResult:
     c_tr: float
 
 
-@dataclass(frozen=True)
-class ShortcutFlags:
+class ShortcutFlags(NamedTuple):
     rank_one: bool
     full_rank: bool
 

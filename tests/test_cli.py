@@ -765,7 +765,7 @@ class TestResourceErrors:
         "argv, flags, gigabytes",
         [
             (["channel-verify", "--local-dim", "64"], "--local-dim 64", "1.07"),
-            (["random", "--kind", "mixed", "--n", "20000"], "--n 20000", "48.00"),
+            (["random", "--kind", "mixed", "--n", "20000"], "--n 20000", "30.00"),
             (
                 ["random", "--kind", "bipartite-pure", "--n", "7000", "--m", "3000", "--count", "2"],
                 "--m 3000 --n 7000",
@@ -1206,10 +1206,10 @@ class TestLoader:
         path = tmp_path / "v.json"
         write_state(path, "bipartite-pure", np.eye(2) / np.sqrt(2))
 
-        def built(self):
+        def built(self, amplitudes):
             raise AssertionError("a bipartite state was built")
 
-        monkeypatch.setattr(BipartitePureState, "__post_init__", built)
+        monkeypatch.setattr(BipartitePureState, "__init__", built)
         assert cli.main(["measures", "--input", str(path)]) == 1
         assert capsys.readouterr().err == (
             f"error: {path}: measures takes kind 'pure' or 'mixed', got 'bipartite-pure'; "
@@ -1286,6 +1286,33 @@ class TestUsageErrors:
         result = run_process(argv)
         assert result.returncode == 0
         assert result.stdout and result.stderr == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measures", "--input", "a.json", "--input", "b.json", "--measure", "l1",
+             "--max-iters", "5", "--step-scale", "0.5", "--format", "table"],
+            ["nearest", "--input", "x.json", "--output", "r.json"],
+            ["verify", "--input", "x.json", "--candidate", "d.json", "--tol", "1e-9"],
+            ["entanglement", "--input", "v.json"],
+            ["channel-verify", "--sigma", "s.json", "--local-dim", "4", "--terms", "2", "--seed", "3"],
+            ["random", "--kind", "mixed", "--n", "5", "--count", "2"],
+            ["bench", "--sizes", "10,20", "--repetitions", "1"],
+            ["oracle", "--input", "x.json", "--method", "grid", "--resolution", "10"],
+        ],
+    )
+    def test_full_parser_agrees_with_the_parser_main_builds(self, argv, capsys, monkeypatch):
+        # ``main`` adds only the invoked command's options; ``build_parser()``
+        # adds every command's, and perfbench's traced replay parses with it.
+        monkeypatch.setenv("COLUMNS", "80")
+        full, own = cli.build_parser(), cli.build_parser(argv[0])
+        assert vars(full.parse_args(argv)) == vars(own.parse_args(argv))
+        helps = []
+        for parser in (full, own):
+            with pytest.raises(SystemExit):
+                parser.parse_args([argv[0], "--help"])
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1] and f"usage: coherence-kit {argv[0]}" in helps[0]
 
 
 class TestOutputErrors:

@@ -14,6 +14,7 @@ from coherence_kit import (
     nearest_incoherent,
     partial_transpose,
 )
+from coherence_kit.random_states import random_mixed_state
 from dense_reference import operator_norm, trace_norm
 
 QUTRIT = PureState([2 / 3, 2 / 3, 1 / 3])
@@ -62,6 +63,32 @@ class TestStates:
     def test_incoherent_state_clips_drift(self):
         d = IncoherentState([1.0 + 5e-13, -5e-13])
         assert d.diag[1] == 0.0
+
+    def test_states_are_read_only_and_equal_only_to_themselves(self):
+        states = {
+            "amplitudes": (PureState([0.6, 0.8]), BipartitePureState(np.eye(2))),
+            "matrix": (DensityMatrix(np.diag([0.5, 0.5])), QUTRIT.density()),
+            "diag": (IncoherentState([0.5, 0.5]),),
+        }
+        for field, values in states.items():
+            for state in values:
+                with pytest.raises(AttributeError, match=field):
+                    setattr(state, field, None)
+                with pytest.raises(AttributeError, match=field):
+                    delattr(state, field)
+                assert state == state and state != type(state).__new__(type(state))
+        trusted = QUTRIT.density()
+        assert np.allclose(trusted.eigenvalues, [0.0, 0.0, 1.0])
+        assert trusted.eigenvalues is trusted.eigenvalues
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
+    def test_random_mixed_samples_pass_full_validation(self, n):
+        # The sampler skips validation; a validated copy must accept the same matrix.
+        for seed in range(4):
+            rho = random_mixed_state(n, np.random.default_rng(seed))
+            full = DensityMatrix(rho.matrix)
+            assert np.array_equal(full.matrix, rho.matrix)
+            assert np.array_equal(full.eigenvalues, rho.eigenvalues)
 
 
 class TestExtremeScaleAmplitudes:

@@ -76,6 +76,15 @@ def pure_files(tmp_path_factory):
     return str(root / "x.json"), str(root / "d.json")
 
 
+@pytest.fixture(scope="module")
+def other_files(tmp_path_factory):
+    """A mixed and a bipartite-pure state file."""
+    root = tmp_path_factory.mktemp("startup-other")
+    write_state(root / "rho.json", "mixed", np.diag([0.5, 0.3, 0.2]).astype(complex))
+    write_state(root / "v.json", "bipartite-pure", np.eye(2, dtype=complex) / np.sqrt(2.0))
+    return str(root / "rho.json"), str(root / "v.json")
+
+
 class TestPackageImport:
     def test_import_loads_no_submodule_and_no_numpy(self):
         done = child("import coherence_kit, json, sys; print(json.dumps(sorted(sys.modules)))")
@@ -142,6 +151,29 @@ class TestCliImports:
         ):
             assert "coherence_kit.floatfmt" in cli_call(*argv)["modules"]
 
+    def test_benchmarked_calls_generate_no_dataclass_code(self, pure_files, other_files, tmp_path):
+        # ``dataclasses`` generates and compiles the methods of every class it
+        # decorates, at each import; the records are NamedTuples instead.
+        x, d = pure_files
+        rho, v = other_files
+        for argv in (
+            ["nearest", "--input", x],
+            ["measures", "--input", x],
+            ["measures", "--input", rho, "--max-iters", "5"],
+            ["verify", "--input", x, "--candidate", d],
+            ["entanglement", "--input", v],
+            ["channel-verify", "--local-dim", "2"],
+            ["random", "--n", "3", "--output", str(tmp_path / "x.json")],
+        ):
+            assert "dataclasses" not in cli_call(*argv)["modules"], argv
+
+    def test_small_file_calls_do_not_load_the_parse_cache(self, pure_files, tmp_path):
+        for argv in (
+            ["nearest", "--input", pure_files[0]],
+            ["random", "--n", "3", "--output", str(tmp_path / "x.json")],
+        ):
+            assert "coherence_kit.cache" not in cli_call(*argv)["modules"], argv
+
     def test_parse_cache_miss_and_hit_load_no_further_module(self, pure_files, tmp_path):
         # A document of at least CACHE_MIN_BYTES, so the call takes the cache path.
         amplitudes = np.random.default_rng(3).standard_normal((30_000, 2)).view(complex)[:, 0]
@@ -155,8 +187,9 @@ class TestCliImports:
         os.utime(entry, ns=(10**9, 10**9))
         hit = set(cli_call("nearest", "--input", str(big))["modules"])
         assert entry.stat().st_mtime_ns > 10**9  # the second call read the entry
-        assert miss - small == set()
-        assert hit - small == set()
+        # The cache module is imported only for a document this large.
+        assert miss - small == {"coherence_kit.cache"}
+        assert hit - small == {"coherence_kit.cache"}
 
 
 class TestGcPolicy:
