@@ -73,6 +73,11 @@ def write_inputs() -> None:
     write_state(inputs / "schmidt-4x4.json", "bipartite-pure", schmidt)
     mixed = random_mixed_state(3, np.random.default_rng(11)).matrix
     write_state(inputs / "mixed-3.json", "mixed", mixed)
+    write_state(inputs / "mixed-qubit.json", "mixed", np.array([[0.5, 0.3], [0.3, 0.5]]))
+    write_state(inputs / "mixed-qubit-half.json", "incoherent", np.array([0.5, 0.5]))
+    write_state(inputs / "mixed-qubit-skewed.json", "incoherent", np.array([0.6, 0.4]))
+    write_state(inputs / "mixed-diagonal.json", "mixed", np.diag([0.7, 0.3]))
+    write_state(inputs / "mixed-diagonal-itself.json", "incoherent", np.array([0.7, 0.3]))
 
 
 def cases() -> list[dict]:
@@ -96,6 +101,17 @@ def cases() -> list[dict]:
     # Entropy and oracle of a mixed state are computed from eigenvalues.
     argv = ["measures", "--max-iters", "50", "--input", "inputs/mixed-3.json"]
     runs.append(("measures-mixed-3", argv, True))
+    # A mixed state's certificate takes its witness from an eigendecomposition
+    # of A - D: certified with margin 0, not certified (exit 2), and A - D = 0,
+    # which is singular (exit 1).
+    for name, state, candidate in (
+        ("half", "qubit", "qubit-half"),
+        ("skewed", "qubit", "qubit-skewed"),
+        ("singular", "diagonal", "diagonal-itself"),
+    ):
+        argv = ["verify", "--input", f"inputs/mixed-{state}.json",
+                "--candidate", f"inputs/mixed-{candidate}.json"]
+        runs.append((f"verify-mixed-{name}", argv, True))
     # A 4 x 4 state against the default --local-dim 3: exit 1, nothing on stdout.
     argv = ["channel-verify", "--input", "inputs/schmidt-4x4.json"]
     runs.append(("channel-verify-input-dim-mismatch", argv, False))

@@ -912,11 +912,33 @@ class TestVectorizedStateFileIO:
             ("bipartite-pure", [1, 2], "[[[1, 0], [[0, 0]]]]", "data[0][1]: expected a number or a [re, im] pair, got [[0, 0]]"),
             ("incoherent", [2], '[1, "0"]', "data[1]: expected a real number, got '0'"),
             ("incoherent", [2], "[1, [0, 0]]", "data[1]: expected a real number, got [0, 0]"),
+            ("pure", [1, 1], "[1]", "kind 'pure' takes dims of length 1"),
+            ("incoherent", [], "[1]", "kind 'incoherent' takes dims of length 1"),
+            ("mixed", [1, 1], "[[1]]", "kind 'mixed' takes dims of length 1"),
+            ("bipartite-pure", [1], "[[1]]", "kind 'bipartite-pure' takes dims of length 2"),
+            ("pure", [3], "[1, 0]", "'data' has 2 entries, dims say 3"),
+            ("incoherent", [1], "[0.5, 0.5]", "'data' has 2 entries, dims say 1"),
+            ("mixed", [2], "[[1, 0]]", "'data' has 1 rows, dims say 2"),
+            ("bipartite-pure", [3, 1], "[[1], [0]]", "'data' has 2 rows, dims say 3"),
         ],
     )
     def test_parse_errors_name_the_entry(self, tmp_path, kind, dims, data, message):
         path = tmp_path / "bad.json"
         path.write_text('{"kind": "%s", "dims": %s, "data": %s}' % (kind, dims, data))
+        with pytest.raises(ValidationError) as info:
+            load_state_file(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"[1, 2]", "state document must be an object"),
+            (b'{"kind": "pure", "dims": [1], "data": [1]}\xff', "not UTF-8 text (invalid start byte)"),
+        ],
+    )
+    def test_documents_that_are_not_objects_or_text(self, tmp_path, raw, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
         with pytest.raises(ValidationError) as info:
             load_state_file(path)
         assert str(info.value) == f"{path}: {message}"

@@ -38,16 +38,18 @@ ENTRIES = {
     "pure": [NUMBERS, PAIRS, st.one_of(NUMBERS, PAIRS)],
     "incoherent": [NUMBERS, st.integers(-(2**70), 2**70), st.one_of(NUMBERS, PAIRS)],
     "mixed": [NUMBERS, PAIRS, st.one_of(NUMBERS, PAIRS)],
+    "bipartite-pure": [NUMBERS, PAIRS, st.one_of(NUMBERS, PAIRS)],
 }
 
 
 @st.composite
 def documents(draw, kind: str) -> dict:
     """A document of ``kind`` whose entries share one style, with at most one
-    flaw: an odd entry or, for a matrix, a row of the wrong length."""
+    flaw: an odd entry or, for a matrix, a row of the wrong length. A
+    bipartite state is m x n with m and n drawn separately."""
     n = draw(st.integers(1, 4))
     entry = draw(st.sampled_from(ENTRIES[kind]))
-    rows = n if kind == "mixed" else 1
+    rows = {"mixed": n, "bipartite-pure": draw(st.integers(1, 4))}.get(kind, 1)
     data = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(rows)]
     flaw = draw(st.sampled_from([None, None, "odd", "ragged"]))
     row = data[draw(st.integers(0, rows - 1))]
@@ -57,6 +59,8 @@ def documents(draw, kind: str) -> dict:
         row.pop()
     elif flaw == "ragged":
         row.append(draw(entry))
+    if kind == "bipartite-pure":
+        return {"kind": kind, "dims": [rows, n], "data": data}
     return {"kind": kind, "dims": [n], "data": data if kind == "mixed" else data[0]}
 
 
@@ -71,7 +75,7 @@ def outcome(doc: dict):
     return sf.kind, sf.dims, data.dtype.str, data.shape, data.view(np.uint64).tolist()
 
 
-@pytest.mark.parametrize("kind", ["pure", "incoherent", "mixed"])
+@pytest.mark.parametrize("kind", ["pure", "incoherent", "mixed", "bipartite-pure"])
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(data=st.data())
 def test_whole_array_parse_matches_per_entry_parse(kind, data):
