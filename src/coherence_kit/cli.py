@@ -311,6 +311,8 @@ def cmd_random(args, inputs: _Inputs) -> tuple[dict | None, int]:
     from . import io as state_io
     from .random_states import random_bipartite_pure, random_mixed_state, random_pure_state
 
+    if args.m is not None and args.kind != "bipartite-pure":
+        raise ValidationError(f"random: --m applies only to --kind bipartite-pure, not {args.kind}")
     m = args.m or args.n
     entries = {"pure": args.n, "mixed": args.n * args.n, "bipartite-pure": m * args.n}[args.kind]
     flags = f"--m {m} --n {args.n}" if args.kind == "bipartite-pure" else f"--n {args.n}"

@@ -1,5 +1,8 @@
 """State file serialization: JSON documents with complex entries as [re, im] pairs.
 
+The four kinds of state file are defined in one table, ``_KINDS``, which the
+parser, the parse-cache check, the writer and ``to_state`` all read.
+
 Floats are written as decimals with 17 significant digits (``%.17g``),
 enough for every double to round-trip exactly, so write-then-read reproduces
 amplitudes bit for bit. Arrays are written and parsed in whole-array numpy
@@ -40,7 +43,16 @@ from .core import (
     ValidationError,
 )
 
-STATE_KINDS = ("pure", "mixed", "bipartite-pure", "incoherent")
+# Each kind of state file: the state class it describes, whether its entries
+# are real, and how many ``dims`` it takes.
+_Kind = NamedTuple("_Kind", [("state", type), ("real", bool), ("ndims", int)])
+_KINDS = {
+    "pure": _Kind(PureState, real=False, ndims=1),
+    "mixed": _Kind(DensityMatrix, real=False, ndims=1),
+    "bipartite-pure": _Kind(BipartitePureState, real=False, ndims=2),
+    "incoherent": _Kind(IncoherentState, real=True, ndims=1),
+}
+STATE_KINDS = tuple(_KINDS)
 
 # An error message quotes at most this many characters of a bad entry.
 _QUOTE_LIMIT = 100
@@ -125,6 +137,24 @@ def _parse_real(entry, where: str) -> float:
     raise ValidationError(f"{where}: expected a real number, got {_quote(entry)}")
 
 
+def _shape(kind: str, dims: tuple[int, ...]) -> tuple[int, ...]:
+    """The array shape of ``dims``; a mixed state's one dim gives both sides."""
+    return dims * 2 if kind == "mixed" else dims
+
+
+def _parse_entries(data: list, shape: tuple[int, ...], parse, where: str) -> list:
+    """``data``, a list of ``shape[0]`` items, read entry by entry with
+    ``parse``; a matrix's rows must be lists, each read as a vector."""
+    if len(shape) == 1:
+        return [parse(e, f"{where}[{i}]") for i, e in enumerate(data)]
+    rows = []
+    for i, row in enumerate(data):
+        if not isinstance(row, list) or len(row) != shape[1]:
+            raise ValidationError(f"{where}[{i}] must be a list of {shape[1]} entries")
+        rows.append(_parse_entries(row, shape[1:], parse, f"{where}[{i}]"))
+    return rows
+
+
 def _holds_bool(data: list, ndim: int) -> bool:
     """Whether an entry of the ``ndim``-deep nested list ``data`` is a bool."""
     entries = data
@@ -185,40 +215,17 @@ def parse_state_document(
     if not isinstance(data, list) or not data:
         raise ValidationError(f"{source}: field 'data' must be a non-empty list")
 
-    if kind in ("pure", "incoherent"):
-        if len(dims) != 1:
-            raise ValidationError(f"{source}: kind '{kind}' takes dims of length 1")
-        n = dims[0]
-        if len(data) != n:
-            raise ValidationError(f"{source}: 'data' has {len(data)} entries, dims say {n}")
-        values = _parse_array(data, (n,), kind == "incoherent", may_hold_bools)
-        if values is None:
-            parse = _parse_real if kind == "incoherent" else _parse_complex
-            values = np.array([parse(e, f"{source}: data[{i}]") for i, e in enumerate(data)])
-        return StateFile(kind=kind, dims=(n,), data=values)
-
-    if kind == "mixed":
-        if len(dims) != 1:
-            raise ValidationError(f"{source}: kind 'mixed' takes dims of length 1")
-        shape = (dims[0], dims[0])
-    else:
-        if len(dims) != 2:
-            raise ValidationError(f"{source}: kind 'bipartite-pure' takes dims of length 2")
-        shape = (dims[0], dims[1])
+    spec = _KINDS[kind]
+    if len(dims) != spec.ndims:
+        raise ValidationError(f"{source}: kind '{kind}' takes dims of length {spec.ndims}")
+    shape = _shape(kind, tuple(dims))
     if len(data) != shape[0]:
-        raise ValidationError(f"{source}: 'data' has {len(data)} rows, dims say {shape[0]}")
-    values = _parse_array(data, shape, False, may_hold_bools)
+        items = "entries" if len(shape) == 1 else "rows"
+        raise ValidationError(f"{source}: 'data' has {len(data)} {items}, dims say {shape[0]}")
+    values = _parse_array(data, shape, spec.real, may_hold_bools)
     if values is None:
-        rows = []
-        for i, row in enumerate(data):
-            if not isinstance(row, list) or len(row) != shape[1]:
-                raise ValidationError(
-                    f"{source}: data[{i}] must be a list of {shape[1]} entries"
-                )
-            rows.append(
-                [_parse_complex(e, f"{source}: data[{i}][{j}]") for j, e in enumerate(row)]
-            )
-        values = np.array(rows)
+        parse = _parse_real if spec.real else _parse_complex
+        values = np.array(_parse_entries(data, shape, parse, f"{source}: data"))
     return StateFile(kind=kind, dims=tuple(dims), data=values)
 
 
@@ -269,33 +276,28 @@ def _cached_state_file(digest: str) -> StateFile | None:
     its kind gives."""
     from . import cache
 
-    entry = cache.lookup(digest)
-    if entry is None or entry[0] not in STATE_KINDS:
+    kind, data = cache.lookup(digest) or (None, None)
+    spec = _KINDS.get(kind)
+    if spec is None or data.dtype != (float if spec.real else complex) or not data.size:
         return None
-    kind, data = entry
-    if (
-        data.dtype != (float if kind == "incoherent" else complex)
-        or data.ndim != (2 if kind in ("mixed", "bipartite-pure") else 1)
-        or not data.size
-        or (kind == "mixed" and data.shape[0] != data.shape[1])
-    ):
+    dims = data.shape[: spec.ndims]
+    if len(dims) != spec.ndims or data.shape != _shape(kind, dims):
         return None
-    dims = data.shape if kind == "bipartite-pure" else data.shape[:1]
     return StateFile(kind=kind, dims=dims, data=data, digest=digest)
 
 
 def state_document(kind: str, data: np.ndarray) -> dict:
     """The document of a state; ``data`` becomes a float array of shape
     ``dims`` (incoherent) or ``dims + (2,)`` ([re, im] pairs)."""
-    arr = np.asarray(data)
-    if kind == "incoherent":
-        body = arr.astype(float)
-    elif kind in ("pure", "mixed", "bipartite-pure"):
-        body = np.stack([arr.real, arr.imag], -1).astype(float, copy=False)
-    else:
+    spec = _KINDS.get(kind)
+    if spec is None:
         raise ValidationError(f"unknown state kind {kind!r}")
-    dims = list(arr.shape[:2] if kind == "bipartite-pure" else arr.shape[:1])
-    return {"kind": kind, "dims": dims, "data": body}
+    arr = np.asarray(data)
+    if spec.real:
+        body = arr.astype(float)
+    else:
+        body = np.stack([arr.real, arr.imag], -1).astype(float, copy=False)
+    return {"kind": kind, "dims": list(arr.shape[: spec.ndims]), "data": body}
 
 
 def _float_template(shape: tuple[int, ...], indent: int, level: int) -> str:
@@ -422,13 +424,7 @@ def write_state_file(fh, kind: str, data: np.ndarray) -> tuple[str, int]:
 
 def to_state(sf: StateFile):
     """Materialize the validated state object a document describes."""
-    if sf.kind == "pure":
-        return PureState(sf.data)
-    if sf.kind == "incoherent":
-        return IncoherentState(sf.data)
-    if sf.kind == "mixed":
-        return DensityMatrix(sf.data)
-    return BipartitePureState(sf.data)
+    return _KINDS[sf.kind].state(sf.data)
 
 
 def file_digest(path) -> str:

@@ -469,6 +469,16 @@ class TestRandomCommand:
             state = to_state(parse_state_document(json.loads(line)))
             assert state.dim == 3
 
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_m_without_bipartite_kind_exits_one_before_writing(self, tmp_path, capsys, kind):
+        out_path = tmp_path / "state.json"
+        argv = ["random", "--kind", kind, "--n", "3", "--m", "5", "--output", str(out_path)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"error: random: --m applies only to --kind bipartite-pure, not {kind}\n"
+        )
+        assert not out_path.exists()
+
     def test_peak_memory_does_not_grow_with_count(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parents[1]))
 
