@@ -115,6 +115,13 @@ def cases() -> list[dict]:
     # A 4 x 4 state against the default --local-dim 3: exit 1, nothing on stdout.
     argv = ["channel-verify", "--input", "inputs/schmidt-4x4.json"]
     runs.append(("channel-verify-input-dim-mismatch", argv, False))
+    # The subgradient oracle's value is a sum of eigenvalues at every step.
+    argv = ["oracle", "--method", "subgradient", "--max-iters", "50", "--input", "inputs/qutrit.json"]
+    runs.append(("oracle-subgradient-qutrit", argv, True))
+    # Kind refusals: a mixed state where a pure one is taken, and a bipartite
+    # state given to measures, whose message points at the entanglement command.
+    runs.append(("nearest-mixed-refused", ["nearest", "--input", "inputs/mixed-3.json"], False))
+    runs.append(("measures-bipartite-refused", ["measures", "--input", "inputs/bell.json"], False))
     table = [
         {"name": f"{name}.{fmt}", "argv": [*argv, "--format", fmt], "lapack": lapack}
         for name, argv, lapack in runs
@@ -137,6 +144,20 @@ def cases() -> list[dict]:
         ("unknown-option", ["nearest", "--input", "inputs/qutrit.json", "--frobnicate"]),
     ]
     table += [{"name": f"usage-{name}", "argv": argv, "lapack": False} for name, argv in usage]
+    # Argument forms beyond plain ``--flag value`` pairs, each decided by argparse:
+    # an ``=`` form, an abbreviation, a repeated single option, a value that
+    # starts with "-" and a bad value; then ``append`` options interleaved.
+    parse = [
+        ("equals-form", ["nearest", "--input=inputs/qutrit.json"]),
+        ("abbreviation", ["nearest", "--inp", "inputs/qutrit.json"]),
+        ("repeated-format", ["nearest", "--input", "inputs/qutrit.json",
+                             "--format", "table", "--format", "json"]),
+        ("negative-seed", ["channel-verify", "--local-dim", "3", "--seed", "-1"]),
+        ("bad-max-iters", ["measures", "--input", "inputs/qutrit.json", "--max-iters", "x"]),
+        ("interleaved-append", ["measures", "--measure", "tr", "--input", "inputs/qutrit.json",
+                                "--measure", "l1", "--format", "table"]),
+    ]
+    table += [{"name": f"parse-{name}", "argv": argv, "lapack": False} for name, argv in parse]
     return table
 
 
