@@ -1,0 +1,66 @@
+"""``measures``: coherence measures of one or more state files."""
+
+from __future__ import annotations
+
+from ..cli import EXIT_OK, MEASURE_CHOICES, _sparse
+from ..core import PureState, ValidationError
+
+
+def handle(args, inputs) -> tuple[dict | None, int]:
+    from ..measures import c_l1, c_rel_entropy, c_robustness_pure
+    from ..trace_distance import nearest_incoherent
+
+    loaded = []
+    for path in args.input:
+        sf, state = inputs.load(path, "measures", "pure", "mixed")
+        pure = isinstance(state, PureState)
+        names = args.measure or (MEASURE_CHOICES if pure else ("l1", "rel-ent", "tr"))
+        if "robustness" in names and not pure:
+            raise ValidationError(
+                f"{path}: measure 'robustness' is only available for kind 'pure', "
+                "not for mixed states"
+            )
+        loaded.append((sf, state, dict.fromkeys(names)))
+    mixed_tr = []
+    for sf, state, values in loaded:
+        for name in values:
+            if name == "l1":
+                values[name] = c_l1(state)
+            elif name == "rel-ent":
+                values[name] = c_rel_entropy(state)
+            elif name == "robustness":
+                values[name] = c_robustness_pure(state)
+            elif isinstance(state, PureState):
+                result = nearest_incoherent(state)
+                values[name] = {
+                    "value": result.c_tr,
+                    "approximate": False,
+                    "k": result.k,
+                    "q_k": result.q_k,
+                    "nearest": _sparse(result.nearest.diag),
+                    "operator_norm_distance": result.mu,
+                }
+            else:
+                mixed_tr.append((values, state))
+    if mixed_tr:
+        from ..oracle import c_tr_subgradient_many
+
+        # One oracle run for every mixed state: those of one dimension share each eigh.
+        oracles = c_tr_subgradient_many(
+            [state for _, state in mixed_tr], max_iters=args.max_iters, step_scale=args.step_scale
+        )
+        for (values, _), oracle in zip(mixed_tr, oracles):
+            values["tr"] = {
+                "value": oracle.value,
+                "approximate": True,
+                "iterations": oracle.iterations,
+                "converged": oracle.converged,
+                "nearest": _sparse(oracle.argmin.diag),
+            }
+    body = {
+        "requested": args.measure or "all applicable",
+        "states": [
+            {"kind": sf.kind, "dims": list(sf.dims), "values": values} for sf, _, values in loaded
+        ],
+    }
+    return body, EXIT_OK

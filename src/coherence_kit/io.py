@@ -9,13 +9,14 @@ amplitudes bit for bit. Arrays are written and parsed in whole-array numpy
 passes; a document numpy cannot read as one array goes through the per-entry
 parser, which accepts the same documents and names the first bad entry.
 
-Every float array, and every list of numbers, is written by the kernel in
-``floatfmt``: it computes the digits of every element with
-1e-6 <= |x| < 1e17 exactly in numpy (Dekker's error-free product), and
-gives every other element, and any whose decimal exponent it cannot settle,
-to one ``%`` pass. Its text is the bytes ``%.17g`` gives each element, laid
-out as ``render_json`` lays out lists. Text is made, written, and for a
-state file hashed, as a sequence of pieces (``render_pieces``).
+A float array, or a list of numbers, of fewer than ``KERNEL_MIN_SIZE``
+elements is written by one ``%.17g`` pass over its template, laid out as
+``render_json`` lays out lists. A larger one is written by the kernel in
+``floatfmt``, which gives the same bytes: it computes the digits of every
+element with 1e-6 <= |x| < 1e17 exactly in numpy (Dekker's error-free
+product), and gives every other element, and any whose decimal exponent it
+cannot settle, to one ``%`` pass. Text is made, written, and for a state
+file hashed, as a sequence of pieces (``render_pieces``).
 
 A document of at least ``CACHE_MIN_BYTES`` is parsed once: its validated
 contents are memoized on disk under the sha256 digest of its bytes (see
@@ -25,10 +26,11 @@ bytes reads them back from there.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import math
+# ``json.dumps`` of a str is this C function's text; importing the json
+# package for it would load its decoder too, which only a parse needs.
+from _json import encode_basestring_ascii as _json_string
 from collections.abc import Iterator
 from pathlib import Path
 from typing import NamedTuple
@@ -56,6 +58,11 @@ STATE_KINDS = tuple(_KINDS)
 
 # An error message quotes at most this many characters of a bad entry.
 _QUOTE_LIMIT = 100
+
+# Arrays of at least this many elements are formatted by the ``floatfmt``
+# kernel; a smaller one by one ``%`` pass. The kernel's fixed cost, about
+# 40 us per array, outweighs the pass's 0.16 us per element below about 128.
+KERNEL_MIN_SIZE = 128
 
 # Documents of at least this size go through the parse cache. A smaller one
 # parses in milliseconds (6 ms at 240 KB), so it is not worth an entry.
@@ -241,6 +248,8 @@ def load_state_file(path) -> StateFile:
     A document of at least ``CACHE_MIN_BYTES`` whose bytes were parsed before
     is read back from the parse cache instead of parsed again.
     """
+    import hashlib
+
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -250,6 +259,8 @@ def load_state_file(path) -> StateFile:
     sf = _cached_state_file(digest) if cacheable else None
     if sf is not None:
         return sf
+    import json
+
     try:
         doc = json.loads(raw.decode("utf-8"), parse_int=_parse_int)
     except UnicodeDecodeError as exc:
@@ -288,16 +299,20 @@ def _cached_state_file(digest: str) -> StateFile | None:
 
 def state_document(kind: str, data: np.ndarray) -> dict:
     """The document of a state; ``data`` becomes a float array of shape
-    ``dims`` (incoherent) or ``dims + (2,)`` ([re, im] pairs)."""
+    ``dims`` (incoherent) or ``dims + (2,)`` ([re, im] pairs). ``data`` must
+    have the shape a parse of ``kind`` gives."""
     spec = _KINDS.get(kind)
     if spec is None:
         raise ValidationError(f"unknown state kind {kind!r}")
     arr = np.asarray(data)
+    dims = arr.shape[: spec.ndims]
+    if len(dims) != spec.ndims or arr.shape != _shape(kind, dims) or not arr.size:
+        raise ValidationError(f"a state of kind {kind!r} cannot have shape {arr.shape}")
     if spec.real:
         body = arr.astype(float)
     else:
         body = np.stack([arr.real, arr.imag], -1).astype(float, copy=False)
-    return {"kind": kind, "dims": list(arr.shape[: spec.ndims]), "data": body}
+    return {"kind": kind, "dims": list(dims), "data": body}
 
 
 def _float_template(shape: tuple[int, ...], indent: int, level: int) -> str:
@@ -323,8 +338,9 @@ def format_finite(obj, indent: int = 0, level: int = 0) -> Iterator[str]:
     pieces of its ``%.17g`` text laid out at ``indent`` and ``level``; a
     ValidationError, before any piece is made, unless every number is finite.
 
-    A list, tuple or array is formatted by ``floatfmt``, which makes the text
-    a chunk at a time as the pieces are taken.
+    A list, tuple or array of at least ``KERNEL_MIN_SIZE`` elements is
+    formatted by ``floatfmt``, which makes the text a chunk at a time as the
+    pieces are taken; a smaller one by one ``%`` pass.
     """
     if not isinstance(obj, (np.ndarray, list, tuple)):
         _require_finite(math.isfinite(obj))
@@ -333,6 +349,8 @@ def format_finite(obj, indent: int = 0, level: int = 0) -> Iterator[str]:
         # ``%`` would make every element a double as well.
         obj = np.asarray(obj, dtype=np.float64)
     _require_finite(bool(np.isfinite(obj).all()))
+    if obj.size < KERNEL_MIN_SIZE:
+        return iter([_float_template(obj.shape, indent, level) % tuple(obj.ravel().tolist())])
     from . import floatfmt
 
     return floatfmt.format_array(obj, indent, level)
@@ -356,7 +374,7 @@ def _parts(obj, indent: int, level: int):
     ):
         yield format_finite(obj, indent, level)
     elif isinstance(obj, dict) and obj:
-        keys = (json.dumps(str(k)) + ": " for k in obj)
+        keys = (_json_string(str(k)) + ": " for k in obj)
         yield from _wrap(keys, obj.values(), "{}", indent, level)
     elif isinstance(obj, (list, tuple)) and obj:
         yield from _wrap(itertools.repeat(""), obj, "[]", indent, level)
@@ -366,8 +384,12 @@ def _parts(obj, indent: int, level: int):
 
 def _scalar(obj) -> str:
     """The JSON text of a scalar or an empty container."""
-    if isinstance(obj, (bool, str, dict, list, tuple)) or obj is None:
-        return json.dumps(obj)
+    if isinstance(obj, str):
+        return _json_string(obj)
+    if isinstance(obj, bool) or obj is None:
+        return {True: "true", False: "false", None: "null"}[obj]
+    if isinstance(obj, (dict, list, tuple)):
+        return "{}" if isinstance(obj, dict) else "[]"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
@@ -412,6 +434,8 @@ def write_state_file(fh, kind: str, data: np.ndarray) -> tuple[str, int]:
     """Write ``dump_state_document(state_document(kind, data))`` and a newline
     to the open text file ``fh``, a piece at a time; return the sha256 hex
     digest of the bytes written, as ``load_state_file`` gives it, and their count."""
+    import hashlib
+
     digest = hashlib.sha256()
     size = 0
     for piece in itertools.chain(render_pieces(state_document(kind, data)), ("\n",)):
@@ -429,4 +453,6 @@ def to_state(sf: StateFile):
 
 def file_digest(path) -> str:
     """sha256 hex digest of a file's current bytes."""
+    import hashlib
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ import pytest
 
 from coherence_kit import cli, entanglement, oracle, random_states, trace_distance
 from coherence_kit import io as state_io
+from coherence_kit.commands import nearest as nearest_command
 from coherence_kit.core import PureState, ValidationError
 from coherence_kit.io import (
     load_state_file,
@@ -687,7 +689,7 @@ class TestTableFormat:
                 cli._flatten(report)
         with pytest.raises(ValidationError, match=message):
             cli._flatten({"a": np.array([0.5, np.nan]), "b": float("inf")})
-        monkeypatch.setattr(cli, "cmd_nearest", lambda args, inputs: ({"c_tr": bad}, 0))
+        monkeypatch.setattr(nearest_command, "handle", lambda args, inputs: ({"c_tr": bad}, 0))
         target = tmp_path / "report.json"
         for fmt in ("json", "table"):
             assert cli.main(["nearest", "--input", "unused.json", "--format", fmt]) == 1
@@ -888,6 +890,15 @@ class TestVectorizedStateFileIO:
         assert render_json(report, indent) == render_json(element, indent)
         assert render_json(np.zeros((2, 0)), indent) == render_json([[], []], indent)
 
+    @pytest.mark.parametrize("indent", [0, 2])
+    def test_strings_keys_and_literals_render_as_json_dumps(self, indent):
+        strings = ["", "plain", 'quote " and \\', "tab\tnewline\n\x00\x1f", "é ∑ 𝄞", "\ud800"]
+        report = {key: [value, True, False, None, {}, [], ()] for key, value in zip(strings, strings)}
+        report[7] = "int key"
+        assert render_json(report, indent) == json.dumps(report, indent=indent or None)
+        for value in [*strings, True, False, None, {}, [], ()]:
+            assert render_json(value) == json.dumps(value)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_report_values_raise(self, tmp_path, bad):
         for obj in ([0.5, bad], np.array([0.5, bad]), [np.float64(bad)], {"x": [[bad, 0.5]]}, bad):
@@ -988,6 +999,34 @@ class TestVectorizedStateFileIO:
         assert doc["data"].dtype == float and doc["data"].shape == (3, 2, 2)
         assert np.array_equal(bits(doc["data"][..., 0]), bits(z.real))
         assert np.array_equal(bits(doc["data"][..., 1]), bits(z.imag))
+
+    @pytest.mark.parametrize(
+        "kind, shape",
+        [
+            ("mixed", (2, 3)),
+            ("pure", (2, 2)),
+            ("incoherent", (2, 2)),
+            ("mixed", (4,)),
+            ("bipartite-pure", (4,)),
+            ("pure", ()),
+            ("pure", (0,)),
+        ],
+    )
+    def test_state_document_refuses_a_shape_its_kind_cannot_have(self, kind, shape):
+        data = np.ones(shape, dtype=float if kind == "incoherent" else complex)
+        message = f"^a state of kind '{kind}' cannot have shape {re.escape(str(shape))}$"
+        with pytest.raises(ValidationError, match=message):
+            state_document(kind, data)
+        with pytest.raises(ValidationError, match=message):
+            write_state_file(io.StringIO(), kind, data)
+
+    @pytest.mark.parametrize(
+        "kind, shape", [("pure", (3,)), ("mixed", (3, 3)), ("bipartite-pure", (2, 3)), ("incoherent", (3,))]
+    )
+    def test_state_document_of_every_kind_parses_back(self, kind, shape):
+        data = np.ones(shape, dtype=float if kind == "incoherent" else complex)
+        doc = json.loads(render_json(state_document(kind, data)))
+        assert parse_state_document(doc).data.shape == shape
 
 
 class TestInputDigest:

@@ -1,6 +1,6 @@
 """Every public function of the package has a caller outside the tests.
 
-A module-level function of ``src/coherence_kit/`` whose name does not start
+A module-level function of ``src/coherence_kit/`` and its subpackages whose name does not start
 with ``_``, exported in ``coherence_kit.__all__`` or not, must be used
 somewhere in the package outside its own ``def``, or be reached as a module
 attribute by the benchmark's traced replay (``perfbench/tracing.py``). The exceptions are
@@ -61,7 +61,7 @@ def public_functions(tree: ast.Module) -> set:
 def test_every_exported_function_has_a_caller():
     """Exported or not: every public function of the package."""
     called, functions = set(), set()
-    for path in PACKAGE.glob("*.py"):
+    for path in PACKAGE.rglob("*.py"):
         tree = ast.parse(path.read_text(), filename=str(path))
         called |= names_used(tree)
         functions |= public_functions(tree)

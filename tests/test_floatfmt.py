@@ -5,7 +5,8 @@
 every finite float array; the inputs below aim at its exactness argument
 (powers of ten, 17-digit ties, the edges of its domain) and at its layout
 (chunk edges, shapes, indents and levels). ``io.format_finite`` sends every
-list and array to it.
+list and array of at least ``io.KERNEL_MIN_SIZE`` elements to it, and
+formats a smaller one by the reference's own ``%`` pass.
 """
 
 import collections
@@ -21,7 +22,7 @@ from test_cli import special_values
 
 from coherence_kit import floatfmt
 from coherence_kit.core import ValidationError
-from coherence_kit.io import format_finite, render_json, render_pieces
+from coherence_kit.io import KERNEL_MIN_SIZE, format_finite, render_json, render_pieces
 
 # Elements in most arrays below: half of ``floatfmt.CHUNK``.
 SIZE = 4096
@@ -171,8 +172,9 @@ def test_sparse_weights_render_in_a_few_megabytes():
 
 
 class TestDispatch:
-    """``format_finite`` sends every list and array to the kernel, whatever
-    its zeros or dtype, and gives the reference's text."""
+    """``format_finite`` sends every list and array of at least
+    ``KERNEL_MIN_SIZE`` elements to the kernel, whatever its zeros or dtype,
+    and a smaller one to one ``%`` pass; both give the reference's text."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -213,13 +215,32 @@ class TestDispatch:
         float64 = np.dtype(np.float64)
         assert kernel_calls == [(ints.shape, float64), (longdouble.shape, float64)]
 
-    def test_lists_go_to_the_kernel(self, kernel_calls):
+    def test_lists_go_to_the_side_of_their_size(self, kernel_calls):
         floats = special_values().tolist()
         mixed = [1, -2, 2**70, 0.5, -0.0, 10**17]
-        for values in (floats, mixed, tuple(mixed)):
+        long = np.resize(floats, KERNEL_MIN_SIZE).tolist()
+        for values in (floats, mixed, tuple(mixed), long, long[:-1], tuple(long)):
             expected = format_floats((len(values),), tuple(values), 2, 1)
             assert "".join(format_finite(values, 2, 1)) == expected
-        assert [shape for shape, _ in kernel_calls] == [(len(floats),), (6,), (6,)]
+        assert len(floats) < KERNEL_MIN_SIZE
+        float64 = np.dtype(np.float64)
+        assert kernel_calls == [((KERNEL_MIN_SIZE,), float64)] * 2
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("indent, level", [(0, 0), (2, 1), (4, 3)])
+    @pytest.mark.parametrize(
+        "shape, kernel",
+        [((127,), False), ((128,), True), ((127, 1), False), ((64, 2), True), ((1, 1, 127), False)],
+    )
+    def test_arrays_either_side_of_the_threshold(
+        self, kernel_calls, shape, kernel, indent, level, dtype
+    ):
+        assert KERNEL_MIN_SIZE == 128
+        special = special_values()
+        special = special[np.abs(special) <= np.finfo(dtype).max]
+        values = np.resize(special, shape).astype(dtype)
+        assert "".join(format_finite(values, indent, level)) == reference(values, indent, level)
+        assert kernel_calls == ([(shape, np.dtype(dtype))] if kernel else [])
 
     @pytest.mark.parametrize(
         "shape, indent, text",
@@ -233,6 +254,8 @@ class TestDispatch:
     def test_empty_arrays_are_their_brackets(self, kernel_calls, shape, indent, text):
         values = np.empty(shape)
         assert "".join(format_finite(values, indent, 1)) == text == reference(values, indent, 1)
+        assert "".join(floatfmt.format_array(values, indent, 1)) == text
+        # An empty array is below the threshold; only the direct call above reached the kernel.
         assert kernel_calls == [(shape, np.dtype(np.float64))]
 
     def test_empty_list_is_its_brackets(self):

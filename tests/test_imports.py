@@ -13,7 +13,8 @@ import pytest
 
 import coherence_kit
 
-MODULES = sorted(pathlib.Path(coherence_kit.__file__).resolve().parent.glob("*.py"))
+PACKAGE = pathlib.Path(coherence_kit.__file__).resolve().parent
+MODULES = sorted(PACKAGE.rglob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> set:
@@ -30,7 +31,7 @@ def used_names(tree: ast.Module) -> set:
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.relative_to(PACKAGE).as_posix())
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert sorted(imported_names(tree) - used_names(tree)) == []

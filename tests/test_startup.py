@@ -139,17 +139,30 @@ class TestCliImports:
             "coherence_kit.entanglement",
         )
 
-    def test_only_reports_with_float_arrays_load_the_format_kernel(self, pure_files, tmp_path):
-        # The kernel module is compiled in every process that imports it.
+    def test_only_reports_with_a_large_float_array_load_the_format_kernel(
+        self, pure_files, tmp_path
+    ):
+        # The kernel module is compiled in every process that imports it; an
+        # array of fewer than KERNEL_MIN_SIZE (128) elements does without it.
+        assert state_io.KERNEL_MIN_SIZE == 128
         x, d = pure_files
-        modules = cli_call("verify", "--input", x, "--candidate", d)["modules"]
-        assert "coherence_kit.floatfmt" not in modules
+        uniform = tmp_path / "uniform-128.json"
+        write_state(uniform, "pure", np.ones(128, dtype=complex) / np.sqrt(128))
         for argv in (
+            ["verify", "--input", x, "--candidate", d],
             ["nearest", "--input", x],
             ["measures", "--input", x],
-            ["random", "--n", "3", "--output", str(tmp_path / "x.json")],
+            # 63 amplitudes are 126 numbers: [re, im] pairs.
+            ["random", "--n", "63", "--output", str(tmp_path / "x.json")],
         ):
-            assert "coherence_kit.floatfmt" in cli_call(*argv)["modules"]
+            assert "coherence_kit.floatfmt" not in cli_call(*argv)["modules"], argv
+        for argv in (
+            # The uniform state's nearest weights are 128 numbers.
+            ["nearest", "--input", str(uniform)],
+            ["measures", "--input", str(uniform)],
+            ["random", "--n", "64", "--output", str(tmp_path / "x.json")],
+        ):
+            assert "coherence_kit.floatfmt" in cli_call(*argv)["modules"], argv
 
     def test_benchmarked_calls_generate_no_dataclass_code(self, pure_files, other_files, tmp_path):
         # ``dataclasses`` generates and compiles the methods of every class it
@@ -190,6 +203,61 @@ class TestCliImports:
         # The cache module is imported only for a document this large.
         assert miss - small == {"coherence_kit.cache"}
         assert hit - small == {"coherence_kit.cache"}
+
+
+class TestParserAndCommandModules:
+    """A plain ``--flag value`` call is parsed without argparse and imports
+    only its own command's module; help and every other form use argparse."""
+
+    ARGPARSE = ("argparse", "gettext", "locale")
+
+    @pytest.fixture(scope="class")
+    def benchmarked(self, pure_files, other_files, tmp_path_factory):
+        """The seven calls of the benchmark's workloads, each with --output."""
+        x, d = pure_files
+        rho, v = other_files
+        out = tmp_path_factory.mktemp("startup-out")
+        calls = [
+            ["random", "--kind", "pure", "--n", "1000", "--seed", "5"],
+            ["nearest", "--input", x],
+            ["measures", "--input", x],
+            ["verify", "--input", x, "--candidate", d],
+            ["measures", "--input", rho, "--input", rho, "--max-iters", "5"],
+            ["entanglement", "--input", v],
+            ["channel-verify", "--local-dim", "2", "--seed", "3"],
+        ]
+        return [[*argv, "--output", str(out / f"{i}.json")] for i, argv in enumerate(calls)]
+
+    def test_benchmarked_calls_load_no_argparse(self, benchmarked):
+        for argv in benchmarked:
+            assert not loaded(cli_call(*argv)["modules"], *self.ARGPARSE), argv
+
+    def test_each_call_loads_only_its_own_command_module(self, benchmarked):
+        for argv in benchmarked:
+            modules = cli_call(*argv)["modules"]
+            own = f"coherence_kit.commands.{argv[0].replace('-', '_')}"
+            commands = {m for m in modules if m.startswith("coherence_kit.commands.")}
+            assert commands == {own}, argv
+            assert "coherence_kit.parser" not in modules
+
+    def test_help_and_declined_forms_load_argparse(self, pure_files):
+        x, _ = pure_files
+        for argv in (["nearest", "--help"], ["--help"]):
+            done = child(CLI_CHILD, "-m", *argv)
+            assert done.returncode == 0 and done.stdout.startswith("usage: coherence-kit")
+            modules = json.loads(done.stderr.splitlines()[-1])["modules"]
+            assert "argparse" in modules and "coherence_kit.parser" in modules
+        for argv in (["nearest", f"--input={x}"], ["nearest", "--inp", x]):
+            modules = cli_call(*argv)["modules"]
+            assert "argparse" in modules and "coherence_kit.parser" in modules, argv
+            assert "coherence_kit.commands.nearest" in modules
+
+    def test_io_imports_hashlib_only_to_take_a_digest(self):
+        # ``channel-verify`` reads no file, but its sampler's numpy.random
+        # imports hashlib (through secrets and hmac) all the same.
+        done = child("import coherence_kit.cli, json, sys; print(json.dumps(sorted(sys.modules)))")
+        assert done.returncode == 0, done.stderr
+        assert not loaded(json.loads(done.stdout), "hashlib", "_hashlib", *self.ARGPARSE)
 
 
 class TestGcPolicy:
