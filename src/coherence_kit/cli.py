@@ -37,7 +37,10 @@ if __name__ == "__main__":
     gc.disable()
     # The command modules import their helpers from ``coherence_kit.cli``;
     # run as ``-m``, this module is that one, not a second copy to compile.
-    sys.modules.setdefault("coherence_kit.cli", sys.modules[__name__])
+    # (Run by ``runpy.run_module`` without ``alter_sys``, it is no module in
+    # ``sys.modules``, and they import the second copy.)
+    if vars(sys.modules[__name__]) is globals():
+        sys.modules.setdefault("coherence_kit.cli", sys.modules[__name__])
 
 import contextlib
 import importlib

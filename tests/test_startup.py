@@ -252,6 +252,22 @@ class TestParserAndCommandModules:
             assert "argparse" in modules and "coherence_kit.parser" in modules, argv
             assert "coherence_kit.commands.nearest" in modules
 
+    @pytest.mark.parametrize("alter_sys", [True, False])
+    def test_run_as_main_imports_no_second_dispatcher(self, pure_files, alter_sys):
+        # Under ``-m`` the command module imports the dispatcher it runs in; run
+        # without ``alter_sys`` there is no such module, and it imports a copy.
+        code = (
+            "import runpy, sys\n"
+            f"sys.argv = ['cli', 'nearest', '--input', {pure_files[0]!r}]\n"
+            "try:\n"
+            f"    runpy.run_module('coherence_kit.cli', run_name='__main__', alter_sys={alter_sys})\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, sys.modules['coherence_kit.cli'].__name__, file=sys.stderr)\n"
+        )
+        done = child(code)
+        assert json.loads(done.stdout)["command"] == "nearest"
+        assert done.stderr.split() == ["0", "__main__" if alter_sys else "coherence_kit.cli"]
+
     def test_io_imports_hashlib_only_to_take_a_digest(self):
         # ``channel-verify`` reads no file, but its sampler's numpy.random
         # imports hashlib (through secrets and hmac) all the same.
