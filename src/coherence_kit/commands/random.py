@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import io as state_io
 from ..cli import EXIT_OK, _output, _require_memory
 from ..core import ValidationError
-from .. import io as state_io
 
 
 def handle(args, inputs) -> tuple[dict | None, int]:
