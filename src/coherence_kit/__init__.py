@@ -61,6 +61,7 @@ _SUBMODULE_NAMES = {
         "c_tr_subgradient_many",
         "c_tr_grid",
     ),
+    "mixed_tr": ("MixedTraceDistance", "c_tr_mixed_many"),
     "measures": (
         "c_l1",
         "von_neumann_entropy",

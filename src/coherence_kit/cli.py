@@ -208,8 +208,9 @@ COMMANDS = {
         ("--input", dict(action="append", required=True, help="state file (repeatable)")),
         ("--measure", dict(action="append", choices=MEASURE_CHOICES)),
         ("--max-iters", dict(
-            type=_non_negative_int, default=20000, help="mixed-state oracle budget")),
-        ("--step-scale", dict(type=_step_scale, default=0.02)),
+            type=_non_negative_int, default=20000, help="Newton-step budget for mixed states")),
+        ("--step-scale", dict(
+            type=_step_scale, default=0.02, help="ignored; used by oracle only")),
     ]),
     "nearest": ("nearest incoherent state of a pure state", [
         ("--input", dict(required=True)),

@@ -43,19 +43,18 @@ def handle(args, inputs) -> tuple[dict | None, int]:
             else:
                 mixed_tr.append((values, state))
     if mixed_tr:
-        from ..oracle import c_tr_subgradient_many
+        from ..mixed_tr import c_tr_mixed_many
 
-        # One oracle run for every mixed state: those of one dimension share each eigh.
-        oracles = c_tr_subgradient_many(
-            [state for _, state in mixed_tr], max_iters=args.max_iters, step_scale=args.step_scale
-        )
-        for (values, _), oracle in zip(mixed_tr, oracles):
+        # One solve for every mixed state: those of one dimension share each eigh.
+        results = c_tr_mixed_many([state for _, state in mixed_tr], max_iters=args.max_iters)
+        for (values, _), result in zip(mixed_tr, results):
             values["tr"] = {
-                "value": oracle.value,
-                "approximate": True,
-                "iterations": oracle.iterations,
-                "converged": oracle.converged,
-                "nearest": _sparse(oracle.argmin.diag),
+                "value": result.value,
+                "lower_bound": result.lower_bound,
+                "gap": result.value - result.lower_bound,
+                "iterations": result.iterations,
+                "converged": result.converged,
+                "nearest": _sparse(result.nearest.diag),
             }
     body = {
         "requested": args.measure or "all applicable",

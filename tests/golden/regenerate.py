@@ -98,9 +98,11 @@ def cases() -> list[dict]:
     # Each lattice point's trace distance is a sum of eigenvalues.
     argv = ["oracle", "--method", "grid", "--input", "inputs/qutrit.json"]
     runs.append(("oracle-grid-qutrit", argv, True))
-    # Entropy and oracle of a mixed state are computed from eigenvalues.
+    # Entropy and the mixed-state C_tr bracket are computed from eigenvalues.
     argv = ["measures", "--max-iters", "50", "--input", "inputs/mixed-3.json"]
     runs.append(("measures-mixed-3", argv, True))
+    # A qubit's C_tr is 2|rho_01| = 0.6, attained at diag(rho).
+    runs.append(("measures-mixed-qubit", ["measures", "--input", "inputs/mixed-qubit.json"], True))
     # A mixed state's certificate takes its witness from an eigendecomposition
     # of A - D: certified with margin 0, not certified (exit 2), and A - D = 0,
     # which is singular (exit 1).

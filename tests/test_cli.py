@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from coherence_kit import cli, entanglement, oracle, random_states, trace_distance
+from coherence_kit import cli, entanglement, mixed_tr, oracle, random_states, trace_distance
 from coherence_kit import io as state_io
 from coherence_kit.commands import nearest as nearest_command
 from coherence_kit.core import PureState, ValidationError
@@ -152,7 +152,7 @@ class TestMeasures:
         values = report["states"][0]["values"]
         assert set(values) == {"l1", "rel-ent", "tr"}
 
-    def test_mixed_tr_is_flagged_approximate(self, tmp_path, capsys):
+    def test_mixed_tr_reports_a_certified_gap(self, tmp_path, capsys):
         rng = np.random.default_rng(104)
         rho = random_mixed_state(3, rng)
         path = tmp_path / "rho.json"
@@ -161,7 +161,40 @@ class TestMeasures:
             ["measures", "--input", str(path), "--measure", "tr"], capsys
         )
         assert code == 0
-        assert report["states"][0]["values"]["tr"]["approximate"] is True
+        tr = report["states"][0]["values"]["tr"]
+        assert "approximate" not in tr
+        assert tr["lower_bound"] <= tr["value"]
+        assert tr["gap"] == tr["value"] - tr["lower_bound"]
+        assert tr["gap"] <= 1e-9 * max(1.0, tr["value"])
+        assert tr["converged"] is True
+
+    def test_mixed_tr_with_no_newton_step_reports_the_starting_point(self, tmp_path, capsys):
+        rho = random_mixed_state(3, np.random.default_rng(131)).matrix
+        path = tmp_path / "rho.json"
+        write_state(path, "mixed", rho)
+        argv = ["measures", "--input", str(path), "--measure", "tr", "--max-iters", "0"]
+        code, report = run_json(argv, capsys)
+        assert code == 0
+        tr = report["states"][0]["values"]["tr"]
+        diagonal = np.real(np.diag(rho))
+        assert tr["value"] == pytest.approx(
+            np.abs(np.linalg.eigvalsh(rho - np.diag(diagonal))).sum(), abs=1e-15
+        )
+        assert dense_weights(tr["nearest"], 3) == pytest.approx(diagonal.tolist(), abs=1e-15)
+        assert (tr["iterations"], tr["converged"]) == (0, False)
+        assert tr["lower_bound"] == 0.0
+
+    def test_mixed_tr_with_one_newton_step(self, tmp_path, capsys):
+        rho = random_mixed_state(4, np.random.default_rng(132)).matrix
+        path = tmp_path / "rho.json"
+        write_state(path, "mixed", rho)
+        argv = ["measures", "--input", str(path), "--measure", "tr", "--max-iters", "1"]
+        code, report = run_json(argv, capsys)
+        assert code == 0
+        tr = report["states"][0]["values"]["tr"]
+        assert tr["iterations"] == 1
+        assert 0.0 < tr["lower_bound"] <= tr["value"]
+        assert tr["value"] <= np.abs(np.linalg.eigvalsh(rho - np.diag(np.diag(rho)))).sum()
 
     def test_robustness_on_mixed_is_rejected(self, tmp_path, capsys):
         rng = np.random.default_rng(105)
@@ -210,8 +243,8 @@ class TestMeasures:
 
 
 class TestBatchedMeasures:
-    """``measures`` runs the oracle once for all mixed inputs; each entry is
-    what a call on that file alone reports."""
+    """``measures`` runs the mixed-state solve once for all mixed inputs; each
+    entry is what a call on that file alone reports."""
 
     @pytest.fixture
     def interleaved(self, tmp_path):
@@ -245,13 +278,13 @@ class TestBatchedMeasures:
 
     def test_one_oracle_call_for_all_mixed_inputs(self, interleaved, capsys, monkeypatch):
         calls = []
-        many = oracle.c_tr_subgradient_many
+        many = mixed_tr.c_tr_mixed_many
 
         def counted(states, **options):
             calls.append([state.dim for state in states])
             return many(states, **options)
 
-        monkeypatch.setattr(oracle, "c_tr_subgradient_many", counted)
+        monkeypatch.setattr(mixed_tr, "c_tr_mixed_many", counted)
         args = ["measures", "--max-iters", "20"]
         for path in interleaved:
             args += ["--input", path]

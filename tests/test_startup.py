@@ -139,6 +139,15 @@ class TestCliImports:
             "coherence_kit.entanglement",
         )
 
+    def test_only_mixed_measures_load_the_mixed_state_solver(self, pure_files, other_files):
+        x, d = pure_files
+        for argv in (["measures", "--input", x], ["verify", "--input", x, "--candidate", d]):
+            modules = cli_call(*argv)["modules"]
+            assert not loaded(modules, "coherence_kit.mixed_tr", "coherence_kit.oracle"), argv
+        modules = cli_call("measures", "--input", other_files[0], "--max-iters", "5")["modules"]
+        assert "coherence_kit.mixed_tr" in modules
+        assert "coherence_kit.oracle" not in modules
+
     def test_only_reports_with_a_large_float_array_load_the_format_kernel(
         self, pure_files, tmp_path
     ):
