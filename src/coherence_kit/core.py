@@ -87,7 +87,9 @@ def _unit_amplitudes(amplitudes, ndim: int, what: str) -> np.ndarray:
 def _hermitian_matrix(matrix, tol: float, what: str) -> np.ndarray:
     """``matrix`` as a complex array, non-empty, square, finite and Hermitian
     within ``tol``; a failed check names ``what``."""
-    m = np.asarray(matrix, dtype=complex)
+    m = np.asarray(matrix)
+    # A real input is checked in real arithmetic, and converted once it passes.
+    m = m.astype(float if m.dtype.kind == "f" else complex, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValidationError(f"{what} must be a non-empty square matrix")
     _require_finite(m, what)
@@ -99,7 +101,38 @@ def _hermitian_matrix(matrix, tol: float, what: str) -> np.ndarray:
             f"{what} is not Hermitian: entries ({i},{j}) and ({j},{i}) "
             f"differ from conjugates by {worst:.3e} (tolerance {tol:g})"
         )
-    return m
+    return m.astype(complex, copy=False)
+
+
+def _cholesky_accepts(m: np.ndarray, tol: float) -> bool:
+    """True only if the Hermitian ``m``, read from its lower triangle as
+    ``eigvalsh`` reads it, has no eigenvalue below ``-tol``: decided by one real
+    Cholesky factorization R^T R of A = fl(m + (tol/2) I).  False means
+    undecided (``m`` is not real, A is not numerically positive definite, or
+    the bound below is not met), and the caller runs ``eigvalsh`` instead.
+
+    By Higham (Accuracy and Stability of Numerical Algorithms, 2002, Thm 10.3),
+    R^T R = A + dA with |dA| <= g |R^T| |R|, g = gamma_{n+1} = (n+1)u / (1 - (n+1)u).
+    By Cauchy-Schwarz |R^T| |R| <= s s^T entrywise, s_i = ||R e_i||, and
+    ||s||^2 = ||R||_F^2 = tr(A + dA) <= tr(A) / (1 - g), so ||dA||_2 <= g ||R||_F^2
+    and lambda_min(A) >= -g ||R||_F^2.  The test asks 4 (n+1) u ||R||_F^2 <= tol/2;
+    the factor 4 covers g's denominator, the rounding of m + (tol/2) I, and
+    blocked LAPACK, so an accepted m has lambda_min >= -tol.  For
+    trace-one m, ||R||_F^2 is about 1 and at tol = 1e-10 the test holds up to
+    n ~ 10^5, far past d = 32 (n = 1024).  A NaN anywhere in R fails it.
+    """
+    if np.iscomplexobj(m):
+        if m.imag.any():
+            return False
+        m = m.real
+    n = m.shape[0]
+    a = np.array(m, dtype=float)
+    a.flat[:: n + 1] += tol / 2.0
+    try:
+        r = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return 4.0 * (n + 1) * 2.0**-53 * float(np.vdot(r, r)) <= tol / 2.0
 
 
 class _ReadOnly:
@@ -165,9 +198,10 @@ class DensityMatrix(_ReadOnly):
     """Hermitian, positive semidefinite, trace-one matrix.
 
     ``eigenvalues`` is its spectrum in ascending order, as
-    ``np.linalg.eigvalsh`` returns it: kept from the positivity check of
-    construction, or computed on first use for a matrix valid by
-    construction.
+    ``np.linalg.eigvalsh`` returns it.  Construction decides positivity by one
+    Cholesky factorization where it can (a real matrix, ``_cholesky_accepts``);
+    only where that is undecided does it compute the spectrum, and keep it.
+    Otherwise the spectrum is computed on first use.
     """
 
     def __init__(self, matrix):
@@ -176,14 +210,15 @@ class DensityMatrix(_ReadOnly):
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > tols.construction:
             raise ValidationError(f"density matrix trace is {trace:.17g}, expected 1")
-        eigenvalues = np.linalg.eigvalsh(m)
-        min_eig = float(eigenvalues[0])
-        if min_eig < -tols.psd_drift:
-            raise ValidationError(
-                f"density matrix has eigenvalue {min_eig:.3e} below -{tols.psd_drift:g}"
-            )
+        if not _cholesky_accepts(m, tols.psd_drift):
+            eigenvalues = np.linalg.eigvalsh(m)
+            min_eig = float(eigenvalues[0])
+            if min_eig < -tols.psd_drift:
+                raise ValidationError(
+                    f"density matrix has eigenvalue {min_eig:.3e} below -{tols.psd_drift:g}"
+                )
+            object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray) -> "DensityMatrix":
@@ -296,8 +331,10 @@ def partial_transpose(matrix, local_dim: int) -> np.ndarray:
 
 
 def is_ppt(matrix, local_dim: int, tol: float | None = None) -> bool:
-    """Whether the partial transpose has no eigenvalue below ``-tol``."""
+    """Whether the partial transpose has no eigenvalue below ``-tol``: one
+    Cholesky factorization where it decides (``_cholesky_accepts``), else
+    ``eigvalsh``."""
     if tol is None:
         tol = DEFAULT_TOLERANCES.psd_drift
     pt = partial_transpose(matrix, local_dim)
-    return float(np.linalg.eigvalsh(pt)[0]) >= -tol
+    return _cholesky_accepts(pt, tol) or float(np.linalg.eigvalsh(pt)[0]) >= -tol

@@ -323,10 +323,13 @@ def verify_channel_pipeline(sigma, v, tol: float | None = None) -> ChannelPipeli
 
     Phi is applied in closed form (``_omega_after_twirl``) from the populations
     and correlation block of each input; those of |v><v| are read off the
-    amplitude matrix of v.  Besides sigma, an input, nothing larger than
-    d x d is formed: the cost is O(d^2) plus one d x d ``eigvalsh`` and the
-    checks of sigma.  ``apply_kraus(omega_kraus_operators(sigma, d),
-    diagonal_twirl(M, d))`` is the slow reference for the same map.
+    amplitude matrix of v.  Besides sigma, an input, and its partial
+    transpose, nothing larger than d x d is formed: the cost is O(d^2) plus one
+    d x d ``eigvalsh`` and the checks of sigma, of which the PPT check is one
+    real d^2 x d^2 Cholesky factorization (``core._cholesky_accepts``; a
+    complex or borderline sigma falls back to ``eigvalsh``).
+    ``apply_kraus(omega_kraus_operators(sigma, d), diagonal_twirl(M, d))`` is
+    the slow reference for the same map.
     """
     if tol is None:
         tol = DEFAULT_TOLERANCES.channel

@@ -43,7 +43,10 @@ MU_FACTOR = 0.05
 # Past this mu no state gains digits; a floor keeps g'' finite at lambda = 0.
 MU_FLOOR = 1e-15
 # Complex entries per state in one slab of the Hessian's n x n^2 product; the
-# slab, not the whole O(n^3) array, is what a large n holds at once.
+# slab, not the whole O(n^3) array, is what a large n holds at once.  The three
+# slab-sized work arrays (``_hessian_work``) are made once per dimension group
+# and reused by every Newton step: at n = 16 each is 64 KB per state, and six
+# states put it above the 128 KB past which a fresh allocation is a new mmap.
 HESSIAN_SLAB = 2**18
 
 
@@ -91,6 +94,7 @@ def _path_follow(a, max_iters) -> list[MixedTraceDistance]:
     delta = (start + START_MIX / n) / (1.0 + START_MIX)
     mu = MU_START * np.maximum(best_values, 1e-3) / n
     rows = np.arange(b)
+    work = _hessian_work(b, n)
     for t in range(1, max_iters + 1):
         h = a.copy()
         h[:, diagonal, diagonal] -= delta
@@ -109,7 +113,7 @@ def _path_follow(a, max_iters) -> list[MixedTraceDistance]:
         grad = -slope_diagonal - m / delta
         kkt = np.ones((len(rows), n + 1, n + 1))
         kkt[:, n, n] = 0.0
-        kkt[:, :n, :n] = _hessian(u, gamma)
+        kkt[:, :n, :n] = _hessian(u, gamma, work)
         kkt[:, diagonal, diagonal] += m / delta**2
         rhs = np.zeros((len(rows), n + 1, 1))
         rhs[:, :n, 0] = -grad
@@ -175,19 +179,42 @@ def _divided_differences(lam, r, mu) -> np.ndarray:
     return (m + x) / ((m + ri) * (m + rk))
 
 
-def _hessian(u, gamma) -> np.ndarray:
+def _slab_rows(n) -> int:
+    """Rows i per slab of the Hessian's product: at least one, at most n."""
+    return min(n, max(1, HESSIAN_SLAB // (n * n)))
+
+
+def _hessian_work(b, n) -> tuple[np.ndarray, ...]:
+    """Flat work arrays for ``_hessian`` on up to b states of dimension n: a
+    slab's products, their scaled copy and their conjugate, and the slab's
+    complex n x n result."""
+    slab = b * n * n * _slab_rows(n)
+    return tuple(np.empty(size, dtype=complex) for size in (slab, slab, slab, b * n * n))
+
+
+def _hessian(u, gamma, work) -> np.ndarray:
     """d^2/d delta^2 of sum_i g(lambda_i(rho - Diag delta)) by Daleckii-Krein:
     entry (j, l) is Re sum_ik Gamma_ik U_ji conj(U_li) conj(U_jk) U_lk, an
-    O(n^4) product taken a slab of i at a time."""
+    O(n^4) product taken a slab of i at a time, in the leading entries of
+    ``work``, ``_hessian_work`` arrays made for at least as many states."""
     b, n = u.shape[:2]
+    products, scaled, conj, block = work
     out = np.zeros((b, n, n))
-    width = max(1, HESSIAN_SLAB // (n * n))
+    width = _slab_rows(n)
+    uc = u.conj()
+    result = block[: b * n * n].reshape(b, n, n)
     for lo in range(0, n, width):
         hi = min(n, lo + width)
+        shape = (b, n, (hi - lo) * n)
+        size = b * n * (hi - lo) * n
         # w[:, j, (i, k)] = U_ji conj(U_jk)
-        w = (u[:, :, lo:hi, None] * u.conj()[:, :, None, :]).reshape(b, n, (hi - lo) * n)
-        scaled = w * gamma[:, lo:hi, :].reshape(b, 1, (hi - lo) * n)
-        out += (scaled @ w.conj().transpose(0, 2, 1)).real
+        w = products[:size].reshape(b, n, hi - lo, n)
+        np.multiply(u[:, :, lo:hi, None], uc[:, :, None, :], out=w)
+        w = w.reshape(shape)
+        g = gamma[:, lo:hi, :].reshape(b, 1, (hi - lo) * n)
+        wg = np.multiply(w, g, out=scaled[:size].reshape(shape))
+        wc = np.conjugate(w, out=conj[:size].reshape(shape))
+        out += np.matmul(wg, wc.transpose(0, 2, 1), out=result).real
     return out
 
 

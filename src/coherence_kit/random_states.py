@@ -44,11 +44,13 @@ def random_real_separable(n: int, terms: int, rng: np.random.Generator) -> Densi
     """Convex mixture of real product states on n (x) n; separable, hence PPT."""
     weights = rng.dirichlet(np.ones(terms))
     sigma = np.zeros((n * n, n * n))
+    term = np.empty_like(sigma)  # one buffer for every w |ket><ket|
     for w in weights:
         a = rng.standard_normal(n)
         a /= np.linalg.norm(a)
         b = rng.standard_normal(n)
         b /= np.linalg.norm(b)
         ket = np.kron(a, b)
-        sigma += w * np.outer(ket, ket)
+        np.multiply(w, np.outer(ket, ket, out=term), out=term)
+        sigma += term
     return DensityMatrix(sigma)

@@ -684,6 +684,21 @@ class TestChannelVerifyCommand:
         assert code == 0
         assert report["incoherent_ok"] is True
 
+    def test_real_sigma_is_checked_without_eigenvalues(self, capsys, monkeypatch):
+        # DensityMatrix(sigma) and is_ppt decide by a Cholesky factorization; the
+        # one eigvalsh left is that of the d x d fixed-point gap.
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(matrix, *args, **kwargs):
+            shapes.append(np.shape(matrix))
+            return eigvalsh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        code, report = run_json(["channel-verify", "--local-dim", "4", "--seed", "6"], capsys)
+        assert code == 0 and report["fixed_point_ok"] is True
+        assert shapes == [(4, 4)]
+
     def test_input_dimensions_must_match_local_dim(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "v4.json"
         write_state(path, "bipartite-pure", np.diag(np.sqrt([0.4, 0.3, 0.2, 0.1])))

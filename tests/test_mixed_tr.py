@@ -173,9 +173,37 @@ def test_hessian_slabs_sum_to_the_whole_product(monkeypatch):
     lam, u = np.linalg.eigh(np.stack(states))
     mu = np.array([1e-3, 1e-5])
     gamma = mixed_tr._divided_differences(lam, np.hypot(lam, mu[:, None]), mu)
-    whole = mixed_tr._hessian(u, gamma)
+    whole = mixed_tr._hessian(u, gamma, mixed_tr._hessian_work(2, 8))
     monkeypatch.setattr(mixed_tr, "HESSIAN_SLAB", 3 * 8 * 8)  # three rows of i per slab
-    assert mixed_tr._hessian(u, gamma) == pytest.approx(whole, rel=1e-12, abs=1e-12)
+    slabbed = mixed_tr._hessian(u, gamma, mixed_tr._hessian_work(2, 8))
+    assert slabbed == pytest.approx(whole, rel=1e-12, abs=1e-12)
+
+
+def fresh_hessian(u, gamma, width) -> np.ndarray:
+    """The slabbed Daleckii-Krein product with every temporary allocated anew."""
+    b, n = u.shape[:2]
+    out = np.zeros((b, n, n))
+    for lo in range(0, n, width):
+        hi = min(n, lo + width)
+        w = (u[:, :, lo:hi, None] * u.conj()[:, :, None, :]).reshape(b, n, (hi - lo) * n)
+        scaled = w * gamma[:, lo:hi, :].reshape(b, 1, (hi - lo) * n)
+        out += (scaled @ w.conj().transpose(0, 2, 1)).real
+    return out
+
+
+@pytest.mark.parametrize("slab", [mixed_tr.HESSIAN_SLAB, 3 * 8 * 8, 8 * 8])
+def test_hessian_in_reused_work_arrays_is_bit_identical(monkeypatch, slab):
+    monkeypatch.setattr(mixed_tr, "HESSIAN_SLAB", slab)
+    rng = np.random.default_rng(14)
+    states = np.stack([random_mixed_state(8, rng).matrix for _ in range(5)])
+    mu = np.geomspace(1e-2, 1e-6, 5)
+    work = mixed_tr._hessian_work(5, 8)
+    # The live rows shrink as certified rows leave the stack; the work arrays stay.
+    for live in ([0, 1, 2, 3, 4], [0, 2, 3], [2, 3], [3]):
+        lam, u = np.linalg.eigh(states[live])
+        gamma = mixed_tr._divided_differences(lam, np.hypot(lam, mu[live, None]), mu[live])
+        reused = mixed_tr._hessian(u, gamma, work)
+        assert reused.tobytes() == fresh_hessian(u, gamma, max(1, slab // 64)).tobytes()
 
 
 def test_divided_differences_match_the_direct_quotient():
