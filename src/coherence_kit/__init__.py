@@ -2,9 +2,10 @@
 
 The package computes the trace distance of coherence of a pure state in
 closed form together with the unique nearest incoherent state, certifies
-candidates through exact dual witnesses, reduces the trace distance of
-entanglement of bipartite pure states to a Schmidt-vector coherence
-computation, and checks everything against independent brute-force oracles.
+candidates (exactly for pure states, against a dual bound for mixed ones),
+reduces the trace distance of entanglement of bipartite pure states to a
+Schmidt-vector coherence computation, and checks everything against
+independent brute-force oracles.
 
 The names below are loaded on first use (PEP 562), so ``import coherence_kit``
 imports no submodule and no numpy, and a CLI call imports only the layers its
@@ -50,15 +51,13 @@ _SUBMODULE_NAMES = {
         "PureCertificate",
         "MixedCertificate",
         "IncoherentInputError",
-        "NonInvertibleDifferenceError",
         "verify_pure_optimality",
-        "verify_mixed_invertible",
+        "verify_mixed_optimality",
     ),
     "oracle": (
         "OracleResult",
         "simplex_project",
         "c_tr_subgradient",
-        "c_tr_subgradient_many",
         "c_tr_grid",
     ),
     "mixed_tr": ("MixedTraceDistance", "c_tr_mixed_many"),

@@ -19,9 +19,10 @@ eigenvector is v_j proportional to x_j / (lambda + d_j) (Golub 1973, "Some
 modified matrix eigenvalue problems"; Bunch, Nielsen & Sorensen 1978).  A
 bracketed Newton solve therefore gives the certificate in O(n) per step.
 
-For mixed states the analogous dual witness is the Hermitian unitary built
-from the spectral signs of A - D, which is forced (hence the certificate is
-exact) whenever A - D is invertible.
+A mixed state has no such closed form.  Its candidate is certified against
+the bracket [lower_bound, value] of ``mixed_tr.c_tr_mixed_many``: the lower
+bound is a dual bound, so a candidate within ``tol`` of it is within ``tol`` of
+the optimum, whether or not A - D is singular.
 """
 
 from __future__ import annotations
@@ -52,10 +53,6 @@ class IncoherentInputError(ValidationError):
     """The input state is already incoherent, so the certificate is vacuous."""
 
 
-class NonInvertibleDifferenceError(ValidationError):
-    """A - D is singular; that case needs a semidefinite feasibility search."""
-
-
 class PureCertificate(NamedTuple):
     optimal: bool
     margin: float
@@ -63,7 +60,9 @@ class PureCertificate(NamedTuple):
 
 class MixedCertificate(NamedTuple):
     certified: bool
-    margin: float
+    margin: float  # lower_bound - distance
+    distance: float  # ||A - D||_1 of the candidate
+    lower_bound: float  # a lower bound on C_tr(A)
 
 
 def _coherent_moduli_or_raise(state) -> np.ndarray:
@@ -151,39 +150,33 @@ def verify_pure_optimality(x, delta, tol: float | None = None) -> PureCertificat
     return PureCertificate(optimal=margin >= -tol, margin=margin)
 
 
-def verify_mixed_invertible(rho, delta, tol: float | None = None) -> MixedCertificate:
-    """Certify a nearest-incoherent candidate for a mixed state A when A - D is invertible.
+def verify_mixed_optimality(rho, delta, tol: float | None = None) -> MixedCertificate:
+    """Check whether D is within ``tol`` of the nearest incoherent state of the mixed state A.
 
-    Builds the dual witness H = U (I_p (+) -I_q) U* from the spectral
-    decomposition of A - D, checks the duality identity
-    tr((A - D) H) = ||A - D||_tr, and evaluates the margin min_i tr(F_i H)
-    over the extreme perturbations.  For invertible A - D the witness is
-    forced, so ``certified=False`` means the candidate is not optimal.
+    The candidate's distance ||A - D||_1 comes from one ``hermitian_eig``, and a
+    lower bound on C_tr(A) from ``c_tr_mixed_many`` run to an absolute gap of
+    at most ``tol / 2``.  D is certified when its distance is at most ``tol``
+    above the lower bound; once the gap is reached, a D that is not is more
+    than ``tol / 2`` above the optimum.  If the Newton budget runs out first,
+    an uncertified D raises ``InconclusiveCertificateError``.
     """
     if tol is None:
         tol = DEFAULT_TOLERANCES.certificate
-    a = as_density_matrix(rho).matrix
-    d = _candidate_diagonal(delta, a.shape[0])
+    from .mixed_tr import c_tr_mixed_many
 
-    difference = a - np.diag(d)
-    decomposition = hermitian_eig(difference)
-    w = decomposition.eigenvalues
-    if float(np.abs(w).min()) <= tol:
-        raise NonInvertibleDifferenceError(
-            "A - D is not invertible within tolerance; certifying that case "
-            "requires a semidefinite feasibility search and is out of scope"
-        )
-    u = decomposition.eigenvectors
-    witness = (u * np.sign(w)) @ u.conj().T
-
-    pairing = float(np.real(np.trace(difference @ witness)))
-    nuclear = float(np.abs(w).sum())
-    if abs(pairing - nuclear) > 1e-10:
+    state = as_density_matrix(rho)
+    d = _candidate_diagonal(delta, state.dim)
+    distance = float(np.abs(hermitian_eig(state.matrix - np.diag(d)).eigenvalues).sum())
+    # A trace distance between states is at most 2, so a relative gap of tol / 4
+    # is an absolute gap of at most tol / 2.
+    (bracket,) = c_tr_mixed_many([state], gap=tol / 4.0)
+    margin = bracket.lower_bound - distance
+    if margin < -tol and not bracket.converged:
         raise InconclusiveCertificateError(
-            f"duality identity violated: tr((A-D)H) = {pairing:.17g} "
-            f"but ||A-D||_tr = {nuclear:.17g}"
+            f"candidate distance {distance:.17g} is above the lower bound "
+            f"{bracket.lower_bound:.17g}, but the bracket did not reach a gap of "
+            f"{tol / 2.0:g} in {bracket.iterations} Newton steps; certificate inconclusive"
         )
-
-    h_diag = np.real(np.diag(witness))
-    margin = float(d @ h_diag - h_diag.max())
-    return MixedCertificate(certified=margin >= -tol, margin=margin)
+    return MixedCertificate(
+        certified=margin >= -tol, margin=margin, distance=distance, lower_bound=bracket.lower_bound
+    )

@@ -333,8 +333,10 @@ def partial_transpose(matrix, local_dim: int) -> np.ndarray:
 def is_ppt(matrix, local_dim: int, tol: float | None = None) -> bool:
     """Whether the partial transpose has no eigenvalue below ``-tol``: one
     Cholesky factorization where it decides (``_cholesky_accepts``), else
-    ``eigvalsh``."""
+    ``eigvalsh``.  A matrix that is not Hermitian within the spectral tolerance
+    is refused, since both read only one triangle."""
     if tol is None:
         tol = DEFAULT_TOLERANCES.psd_drift
-    pt = partial_transpose(matrix, local_dim)
+    m = _hermitian_matrix(matrix, DEFAULT_TOLERANCES.spectral, "matrix")
+    pt = partial_transpose(m, local_dim)
     return _cholesky_accepts(pt, tol) or float(np.linalg.eigvalsh(pt)[0]) >= -tol

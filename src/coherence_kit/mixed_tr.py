@@ -18,7 +18,7 @@ barrier path following; Nesterov & Todd 1997, Vandenberghe & Boyd, SIAM Review
 bounds the optimum below by <rho, Y> - max_j Y_jj, and g'(H), with or without
 the step's first-order correction, is such a Y once divided by a bound on its
 norm.  A state is done when its best value and best lower bound are within
-``GAP_RTOL`` relative.
+a relative gap, ``GAP_RTOL`` unless the caller asks for another.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ import numpy as np
 
 from .core import IncoherentState, as_density_matrix
 
-# A state is certified once value - lower_bound <= GAP_RTOL * max(1, value).
+# The default relative gap: a state is certified once
+# value - lower_bound <= GAP_RTOL * max(1, value).
 GAP_RTOL = 1e-9
 # The first iterate mixes diag(rho) with this share of the uniform vector, so
 # every weight is positive; mu starts at MU_START * C_tr(diag(rho)) / n, with
@@ -55,15 +56,18 @@ class MixedTraceDistance(NamedTuple):
     lower_bound: float
     nearest: IncoherentState
     iterations: int  # Newton steps
-    converged: bool  # value - lower_bound <= GAP_RTOL * max(1, value)
+    converged: bool  # value - lower_bound <= gap * max(1, value)
 
 
-def c_tr_mixed_many(states, max_iters: int = 500) -> list[MixedTraceDistance]:
+def c_tr_mixed_many(
+    states, max_iters: int = 500, gap: float = GAP_RTOL
+) -> list[MixedTraceDistance]:
     """C_tr of each mixed state bracketed as [lower_bound, value], in input order.
 
     ``value`` is the smallest ||rho - Diag(delta)||_1 over diag(rho) and the
-    Newton iterates, and ``nearest`` the delta that attains it.  A budget of 0
-    reports diag(rho) with the lower bound 0.  States of one dimension run
+    Newton iterates, and ``nearest`` the delta that attains it.  A state stops
+    once value - lower_bound <= gap * max(1, value); a budget of 0 reports
+    diag(rho) with the lower bound 0.  States of one dimension run
     together, one stacked ``eigh`` per Newton step; each state's arithmetic is
     that of a run on it alone, so its result does not depend on the others.
     """
@@ -73,13 +77,13 @@ def c_tr_mixed_many(states, max_iters: int = 500) -> list[MixedTraceDistance]:
         groups.setdefault(a.shape[0], []).append(i)
     results: list = [None] * len(matrices)
     for members in groups.values():
-        runs = _path_follow(np.stack([matrices[i] for i in members]), max_iters)
+        runs = _path_follow(np.stack([matrices[i] for i in members]), max_iters, gap)
         for i, result in zip(members, runs):
             results[i] = result
     return results
 
 
-def _path_follow(a, max_iters) -> list[MixedTraceDistance]:
+def _path_follow(a, max_iters, gap) -> list[MixedTraceDistance]:
     """The Newton iteration on a (b, n, n) stack; a certified row leaves the stack."""
     b, n = a.shape[:2]
     diagonal = np.arange(n)
@@ -129,7 +133,7 @@ def _path_follow(a, max_iters) -> list[MixedTraceDistance]:
             _dual_bound(a, (u * slope[:, None, :]) @ uh, 1.0), _dual_bound(a, u @ z @ uh, scale)
         )
         lower[rows] = np.maximum(lower[rows], bounds)
-        done = best_values[rows] - lower[rows] <= GAP_RTOL * np.maximum(1.0, best_values[rows])
+        done = best_values[rows] - lower[rows] <= gap * np.maximum(1.0, best_values[rows])
         iterations[rows[done]] = t
         if done.all():
             break
@@ -146,7 +150,7 @@ def _path_follow(a, max_iters) -> list[MixedTraceDistance]:
         a, delta, mu, rows = a[keep], delta[keep], mu[keep], rows[keep]
     # A bound above the value is rounding: the optimum lies between them.
     lower = np.minimum(lower, best_values)
-    converged = best_values - lower <= GAP_RTOL * np.maximum(1.0, best_values)
+    converged = best_values - lower <= gap * np.maximum(1.0, best_values)
     return [
         MixedTraceDistance(
             value=float(best_values[i]),

@@ -195,8 +195,11 @@ def main() -> None:
     for case in table:
         case["exit_code"], stdout, stderr = run_case(case["argv"])
         (reports / f"{case['name']}.out").write_text(stdout)
+        err = reports / f"{case['name']}.err"
         if stderr:
-            (reports / f"{case['name']}.err").write_text(stderr)
+            err.write_text(stderr)
+        else:
+            err.unlink(missing_ok=True)
     lines = ",\n".join(json.dumps(case) for case in table)
     (HERE / "cases.json").write_text(f"[\n{lines}\n]\n")
 

@@ -13,7 +13,7 @@ from coherence_kit import (
     IncoherentState,
     PureState,
     c_tr_grid,
-    c_tr_subgradient_many,
+    c_tr_subgradient,
     check_negativity_bound,
     cli,
     diagonal_twirl,
@@ -117,7 +117,8 @@ def test_criterion_3_maximal_coherence():
     states = [random_mixed_state(int(rng.integers(2, 7)), rng) for _ in range(100)]
     oracle_ok = True
     worst = -np.inf
-    for rho, result in zip(states, c_tr_subgradient_many(states, max_iters=3000, tol=0.0)):
+    for rho in states:
+        result = c_tr_subgradient(rho, max_iters=3000, tol=0.0)
         excess = result.value - max_coherence_bound(rho.dim)
         worst = max(worst, excess)
         if excess > 1e-4:
@@ -171,9 +172,9 @@ def test_criterion_5_oracle_equivalence():
     rng = np.random.default_rng(555)
     start = time.perf_counter()
     states = [random_pure_state(int(rng.integers(2, 9)), rng) for _ in range(200)]
-    results = c_tr_subgradient_many(
-        [x.density() for x in states], max_iters=6000, step_scale=0.04, tol=0.0
-    )
+    results = [
+        c_tr_subgradient(x.density(), max_iters=6000, step_scale=0.04, tol=0.0) for x in states
+    ]
     worst = max(
         abs(result.value - nearest_incoherent(x).c_tr) for x, result in zip(states, results)
     )

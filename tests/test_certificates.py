@@ -1,23 +1,39 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coherence_kit import (
     DensityMatrix,
     IncoherentInputError,
     IncoherentState,
     InconclusiveCertificateError,
-    NonInvertibleDifferenceError,
     PureState,
     c_tr_grid,
+    c_tr_mixed_many,
     canonicalize,
     nearest_incoherent,
-    verify_mixed_invertible,
+    verify_mixed_optimality,
     verify_pure_optimality,
 )
+from coherence_kit.config import DEFAULT_TOLERANCES
+from coherence_kit.mixed_tr import GAP_RTOL
 from coherence_kit.random_states import random_pure_state
 from dense_reference import trace_norm
 
 QUTRIT = PureState([2 / 3, 2 / 3, 1 / 3])
+
+FAMILIES = ("diagonal", "full-rank", "rank-one", "rank-two")
+
+
+def density(family: str, n: int, rng) -> np.ndarray:
+    if family == "diagonal":
+        p = rng.random(n)
+        return np.diag(p / p.sum())
+    rank = {"full-rank": n, "rank-one": 1, "rank-two": 2}[family]
+    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    m = g @ g.conj().T
+    return (m + m.conj().T) / 2.0 / np.trace(m).real
 
 
 class TestPureCertificate:
@@ -123,41 +139,72 @@ class TestPureCertificate:
 class TestMixedCertificate:
     def test_qubit_certified(self):
         rho = PureState([0.8, 0.6]).density()
-        result = verify_mixed_invertible(rho, [0.64, 0.36])
+        result = verify_mixed_optimality(rho, [0.64, 0.36])
         assert result.certified
         assert result.margin >= -1e-10
+        assert result.margin == result.lower_bound - result.distance
 
-    def test_zero_difference_rejected(self):
-        with pytest.raises(NonInvertibleDifferenceError):
-            verify_mixed_invertible(
-                DensityMatrix(np.eye(2) / 2), [0.5, 0.5]
-            )
+    def test_zero_difference_certified(self):
+        # A - D = 0 is as singular as a difference gets; the bracket is [0, 0].
+        result = verify_mixed_optimality(DensityMatrix(np.eye(2) / 2), [0.5, 0.5])
+        assert result == (True, 0.0, 0.0, 0.0)
 
     def test_wrong_candidate_for_incoherent_state(self):
-        result = verify_mixed_invertible(
-            DensityMatrix(np.diag([0.7, 0.3])), [0.6, 0.4]
-        )
+        result = verify_mixed_optimality(DensityMatrix(np.diag([0.7, 0.3])), [0.6, 0.4])
         assert not result.certified
+        assert result.distance == pytest.approx(0.2, abs=1e-15)
 
     def test_qutrit_reference_state_difference_is_invertible_and_certified(self):
-        # n = 3, k = 2: the difference has rank k + 1 = n, so the forced
-        # witness exists and certifies the closed-form optimum.
         result = nearest_incoherent(QUTRIT)
-        cert = verify_mixed_invertible(QUTRIT.density(), result.nearest)
+        cert = verify_mixed_optimality(QUTRIT.density(), result.nearest)
         assert cert.certified
+        assert cert.distance == pytest.approx(result.c_tr, abs=1e-14)
 
-    def test_rank_deficient_difference_rejected(self):
+    def test_rank_deficient_difference_certified(self):
         # A zero amplitude leaves a zero row in |x><x| - D, so the difference
-        # is singular and the invertible-case certificate must refuse it.
+        # is singular; the certificate does not need it to be invertible.
         x = PureState([2 / 3, 2 / 3, 1 / 3, 0.0])
         result = nearest_incoherent(x)
-        with pytest.raises(NonInvertibleDifferenceError):
-            verify_mixed_invertible(x.density(), result.nearest)
+        cert = verify_mixed_optimality(x.density(), result.nearest)
+        assert cert.certified
+        assert cert.lower_bound <= cert.distance
 
     def test_agrees_with_pure_certificate_on_qubits(self):
         rng = np.random.default_rng(45)
         for _ in range(50):
             x = random_pure_state(2, rng)
             result = nearest_incoherent(x)
-            mixed = verify_mixed_invertible(x.density(), result.nearest)
+            mixed = verify_mixed_optimality(x.density(), result.nearest)
             assert mixed.certified
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_nearest_at_the_certificate_gap_is_certified(self, family):
+        rho = density(family, 12, np.random.default_rng(46))
+        (bracket,) = c_tr_mixed_many([rho], gap=DEFAULT_TOLERANCES.certificate / 4)
+        assert verify_mixed_optimality(rho, bracket.nearest).certified
+
+    def test_budget_out_before_the_gap_is_inconclusive(self):
+        # No bracket of a coherent state closes to a gap of exactly 0.
+        rho = PureState([0.8, 0.6]).density()
+        with pytest.raises(InconclusiveCertificateError, match="did not reach a gap of 0"):
+            verify_mixed_optimality(rho, [0.5, 0.5], tol=0.0)
+
+
+@settings(derandomize=True, max_examples=16, deadline=None, database=None)
+@given(family=st.sampled_from(FAMILIES), n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+def test_mixed_certificate_certifies_the_bracket_nearest_and_refutes_a_shift(family, n, seed):
+    rho = density(family, n, np.random.default_rng(seed))
+    (bracket,) = c_tr_mixed_many([rho])
+    # That nearest is within GAP_RTOL * max(1, value) <= 2 GAP_RTOL of the
+    # optimum, and the certificate's own bracket closes to tol / 2.
+    cert = verify_mixed_optimality(rho, bracket.nearest, tol=4 * GAP_RTOL)
+    assert cert.certified
+    assert cert.lower_bound <= cert.distance
+    # Move a quarter of the largest weight to another index.
+    shifted = bracket.nearest.diag.copy()
+    top = int(np.argmax(shifted))
+    shifted[(top + 1) % n] += shifted[top] / 4.0
+    shifted[top] -= shifted[top] / 4.0
+    refuted = verify_mixed_optimality(rho, shifted)
+    assert not refuted.certified
+    assert refuted.lower_bound <= refuted.distance

@@ -265,3 +265,11 @@ class TestIsPpt:
 
     def test_maximally_mixed(self):
         assert is_ppt(np.eye(9) / 9, 3)
+
+    def test_non_hermitian_input_is_refused(self):
+        # Read from its lower triangle the partial transpose has lambda_min
+        # -4.75, from its upper triangle 0.25: one triangle decides nothing.
+        m = np.eye(4) / 4
+        m[3, 0] = 5.0
+        with pytest.raises(ValidationError, match=r"not Hermitian: entries \(0,3\) and \(3,0\)"):
+            is_ppt(m, 2)

@@ -6,13 +6,16 @@ somewhere in the package outside its own ``def``, or be reached as a module
 attribute by the benchmark's traced replay (``perfbench/tracing.py``). The exceptions are
 listed below, each with the ROADMAP item that gives the name a caller or
 moves it out of the package. The list can only shrink: a listed name that
-gains a caller fails the test until it is taken off.
+gains a caller fails the test until it is taken off. Every name the replay
+reads must also resolve.
 """
 
 import ast
 import pathlib
+from importlib import import_module
 
 import coherence_kit
+from coherence_kit import cli
 
 PACKAGE = pathlib.Path(coherence_kit.__file__).resolve().parent
 TRACING = PACKAGE.parents[1] / "perfbench" / "tracing.py"
@@ -69,3 +72,33 @@ def test_every_exported_function_has_a_caller():
     assert sorted(functions - called - set(WITHOUT_CALLER)) == []
     assert sorted(set(WITHOUT_CALLER) & called) == []
     assert set(WITHOUT_CALLER) <= functions
+
+
+def test_every_name_the_traced_replay_reads_resolves():
+    """``perfbench/tracing.py`` reads and patches package names at run time, so
+    a name it reads that goes away breaks ``--trace 1`` only when it runs."""
+    tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
+    modules = {
+        alias.asname or alias.name: import_module(f"coherence_kit.{alias.name}")
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "coherence_kit"
+        for alias in node.names
+    }
+    missing = []
+    for node in ast.walk(tree):
+        path = []
+        while isinstance(node, ast.Attribute):
+            path.insert(0, node.attr)
+            node = node.value
+        if not path or not isinstance(node, ast.Name) or node.id not in modules:
+            continue
+        value = modules[node.id]
+        for attr in path:
+            if not hasattr(value, attr):
+                missing.append(".".join([node.id, *path]))
+                break
+            value = getattr(value, attr)
+    assert "oracle" in modules and missing == []
+    # The replay parses each call with the full parser and reads these options.
+    args = cli.build_parser().parse_args(["measures", "--input", "x.json"])
+    assert hasattr(args, "step_scale") and hasattr(args, "max_iters")

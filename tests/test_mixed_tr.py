@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from coherence_kit import mixed_tr
 from coherence_kit.mixed_tr import GAP_RTOL, c_tr_mixed_many
-from coherence_kit.oracle import c_tr_grid, c_tr_subgradient_many
+from coherence_kit.oracle import c_tr_grid, c_tr_subgradient
 from coherence_kit.random_states import random_mixed_state, random_pure_state
 from coherence_kit.trace_distance import nearest_incoherent
 
@@ -101,7 +101,7 @@ def test_lower_bound_is_at_most_the_grid_value(n, seed):
 def test_value_is_at_most_the_subgradient_value(n, seed):
     rho = random_mixed_state(n, np.random.default_rng(seed)).matrix
     (result,) = c_tr_mixed_many([rho])
-    (descent,) = c_tr_subgradient_many([rho], max_iters=1000, step_scale=0.04, tol=0.0)
+    descent = c_tr_subgradient(rho, max_iters=1000, step_scale=0.04, tol=0.0)
     assert result.value <= descent.value + 1e-12
     certified(result)
 

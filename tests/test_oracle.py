@@ -9,7 +9,6 @@ from coherence_kit import (
     ValidationError,
     c_tr_grid,
     c_tr_subgradient,
-    c_tr_subgradient_many,
     max_coherence_bound,
     nearest_incoherent,
     simplex_project,
@@ -42,7 +41,7 @@ def simplex_project_reference(v) -> np.ndarray:
 def subgradient_reference(
     rho, max_iters=10000, step_scale=0.04, tol=1e-12, stall_window=100
 ) -> OracleResult:
-    """The slow reference for ``c_tr_subgradient_many``: one state at a time,
+    """The slow reference for ``c_tr_subgradient``, written independently:
     one eigh, one projection and one Python step per iteration."""
     a = as_density_matrix(rho).matrix
 
@@ -99,13 +98,12 @@ class TestSimplexProject:
             rows[0] = 1.0 / n  # already feasible
             rows[1] = 0.0  # all tied
             rows[2, 0] = rows[2, -1]  # a tie with the last entry
-            want = np.stack([simplex_project_reference(row) for row in rows])
-            assert np.array_equal(simplex_project(rows), want)
-            for row, expected in zip(rows, want):
-                assert np.array_equal(simplex_project(row), expected)
+            for row in rows:
+                assert np.array_equal(simplex_project(row), simplex_project_reference(row))
 
     def test_rejects_bad_input(self):
-        for bad in ([], [[]], [np.nan, 1.0], [[0.5, np.inf]], np.zeros((2, 2, 2))):
+        bad_inputs = ([], [[]], [np.nan, 1.0], [[0.5, np.inf]], [[0.5, 0.5]], np.zeros((2, 2, 2)))
+        for bad in bad_inputs:
             with pytest.raises(ValidationError, match="projection input"):
                 simplex_project(bad)
 
@@ -145,15 +143,15 @@ class TestSubgradient:
     def test_matches_closed_form(self):
         rng = np.random.default_rng(52)
         states = [random_pure_state(int(rng.integers(2, 9)), rng) for _ in range(20)]
-        results = c_tr_subgradient_many([x.density() for x in states], max_iters=6000, tol=0.0)
-        for x, result in zip(states, results):
+        for x in states:
+            result = c_tr_subgradient(x.density(), max_iters=6000, tol=0.0)
             assert result.value == pytest.approx(nearest_incoherent(x).c_tr, abs=1e-4)
 
     def test_mixed_states_respect_coherence_bound(self):
         rng = np.random.default_rng(53)
         states = [random_mixed_state(int(rng.integers(2, 7)), rng) for _ in range(20)]
-        results = c_tr_subgradient_many(states, max_iters=2000, tol=0.0)
-        for rho, result in zip(states, results):
+        for rho in states:
+            result = c_tr_subgradient(rho, max_iters=2000, tol=0.0)
             assert result.value <= max_coherence_bound(rho.dim) + 1e-4
 
     def test_objective_is_convex_along_segments(self):
@@ -173,14 +171,14 @@ class TestSubgradient:
 
 
 class TestBatchedSubgradient:
-    """Every row of ``c_tr_subgradient_many`` equals ``subgradient_reference``
-    on that state alone, bit for bit."""
+    """``c_tr_subgradient`` on each state of a batch equals
+    ``subgradient_reference`` on that state, bit for bit."""
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_random_stacks(self, n):
         rng = np.random.default_rng(600 + n)
         states = [random_mixed_state(n, rng) for _ in range(3)]
-        results = c_tr_subgradient_many(states, max_iters=150, step_scale=0.02)
+        results = [c_tr_subgradient(s, max_iters=150, step_scale=0.02) for s in states]
         assert_same_runs(results, [subgradient_reference(s, 150, 0.02) for s in states])
 
     def test_rows_stop_at_different_iterations(self, monkeypatch):
@@ -195,7 +193,7 @@ class TestBatchedSubgradient:
             random_mixed_state(5, rng),
         ]
         options = {"max_iters": 1500, "step_scale": 0.04, "tol": 1e-7}
-        results = c_tr_subgradient_many(states, **options)
+        results = [c_tr_subgradient(s, **options) for s in states]
         want = [subgradient_reference(s, **options, stall_window=40) for s in states]
         assert_same_runs(results, want)
         assert len({r.iterations for r in results}) >= 4
@@ -218,7 +216,7 @@ class TestBatchedSubgradient:
         monkeypatch.setattr(oracle, "STALL_WINDOW", window)
         rng = np.random.default_rng(62)
         states = [random_mixed_state(4, rng) for _ in range(3)] + [DensityMatrix(np.eye(4) / 4)]
-        results = c_tr_subgradient_many(states, **options)
+        results = [c_tr_subgradient(s, **options) for s in states]
         want = [subgradient_reference(s, **options, stall_window=window) for s in states]
         assert_same_runs(results, want)
         if options["max_iters"] == 0:
@@ -228,21 +226,20 @@ class TestBatchedSubgradient:
         rho = random_mixed_state(16, np.random.default_rng(63))
         want = subgradient_reference(rho, max_iters=400, tol=0.0)
         assert_same_runs([c_tr_subgradient(rho, max_iters=400, tol=0.0)], [want])
-        assert_same_runs(c_tr_subgradient_many([rho], max_iters=400, tol=0.0), [want])
 
     def test_mixed_dimensions_out_of_order(self):
         rng = np.random.default_rng(64)
         dims = (5, 2, 8, 5, 3, 2, 8, 1, 5)
         states = [random_mixed_state(n, rng) for n in dims]
         states[4] = random_pure_state(3, rng)  # taken as its density matrix
-        results = c_tr_subgradient_many(states, max_iters=400, step_scale=0.03, tol=1e-9)
+        results = [c_tr_subgradient(s, max_iters=400, step_scale=0.03, tol=1e-9) for s in states]
         want = [subgradient_reference(s, 400, 0.03, 1e-9) for s in states]
         assert_same_runs(results, want)
         assert [r.argmin.dim for r in results] == list(dims)
 
     def test_one_eigh_per_iteration_per_dimension(self, monkeypatch):
         rng = np.random.default_rng(65)
-        states = [random_mixed_state(n, rng) for n in (3, 4, 3, 3, 4, 3)]
+        states = [random_mixed_state(n, rng) for n in (3, 4)]
         shapes = []
         eigh = np.linalg.eigh
 
@@ -251,18 +248,16 @@ class TestBatchedSubgradient:
             return eigh(matrix)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        c_tr_subgradient_many(states, max_iters=50, tol=0.0)
-        assert shapes == [(4, 3, 3)] * 51 + [(2, 4, 4)] * 51
-
-    def test_no_states(self):
-        assert c_tr_subgradient_many([]) == []
+        for rho in states:
+            c_tr_subgradient(rho, max_iters=50, tol=0.0)
+        assert shapes == [(3, 3)] * 51 + [(4, 4)] * 51
 
     def test_invalid_state_and_window_are_rejected(self):
         with pytest.raises(ValidationError):
-            c_tr_subgradient_many([np.eye(2) / 2, np.eye(2)])
+            c_tr_subgradient(np.eye(2))
         # The window is the module constant STALL_WINDOW, not an argument.
         with pytest.raises(TypeError, match="stall_window"):
-            c_tr_subgradient_many([np.eye(2) / 2], stall_window=5)
+            c_tr_subgradient(np.eye(2) / 2, stall_window=5)
 
 
 class TestGrid:

@@ -148,6 +148,16 @@ class TestCliImports:
         assert "coherence_kit.mixed_tr" in modules
         assert "coherence_kit.oracle" not in modules
 
+    def test_mixed_verify_loads_the_mixed_state_solver_and_not_the_oracle(
+        self, other_files, tmp_path
+    ):
+        candidate = tmp_path / "d.json"
+        write_state(candidate, "incoherent", np.array([0.5, 0.3, 0.2]))
+        argv = ["verify", "--input", other_files[0], "--candidate", str(candidate)]
+        modules = cli_call(*argv)["modules"]
+        assert "coherence_kit.mixed_tr" in modules
+        assert "coherence_kit.oracle" not in modules
+
     def test_only_reports_with_a_large_float_array_load_the_format_kernel(
         self, pure_files, tmp_path
     ):
