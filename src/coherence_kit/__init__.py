@@ -28,6 +28,7 @@ _SUBMODULE_NAMES = {
         "DimensionMismatchError",
         "NumericalDriftWarning",
         "InconclusiveCertificateError",
+        "IncoherentInputError",
         "as_pure_state",
         "as_density_matrix",
         "as_incoherent_state",
@@ -50,7 +51,6 @@ _SUBMODULE_NAMES = {
     "certificates": (
         "PureCertificate",
         "MixedCertificate",
-        "IncoherentInputError",
         "verify_pure_optimality",
         "verify_mixed_optimality",
     ),

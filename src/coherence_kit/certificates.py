@@ -34,7 +34,6 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES
 from .core import (
     InconclusiveCertificateError,
-    ValidationError,
     as_density_matrix,
     as_incoherent_state,
     as_pure_state,
@@ -42,20 +41,15 @@ from .core import (
 )
 from .measures import _l1_from_moduli
 
-# Newton steps from the left of the root stay left of it and converge
-# quadratically; a step that leaves the bracket is replaced by bisection.  The
-# root is reached to a few ulps in well under this many steps (about 60 on
-# roots near 1e-11, under 10 on random states).
-_SECULAR_MAX_STEPS = 200
-
-
-class IncoherentInputError(ValidationError):
-    """The input state is already incoherent, so the certificate is vacuous."""
-
-
-class PureCertificate(NamedTuple):
-    optimal: bool
-    margin: float
+# The pure certificate's record, errors and step budget are shared with its
+# twin on Python floats.
+from .pure_floats import (
+    _SECULAR_MAX_STEPS,
+    PureCertificate,
+    _dimension_error,
+    _incoherent_input_error,
+    _inconclusive_error,
+)
 
 
 class MixedCertificate(NamedTuple):
@@ -68,10 +62,7 @@ class MixedCertificate(NamedTuple):
 def _coherent_moduli_or_raise(state) -> np.ndarray:
     moduli = state.moduli()
     if _l1_from_moduli(moduli) < DEFAULT_TOLERANCES.construction:
-        raise IncoherentInputError(
-            "state is incoherent: its trace distance to the incoherent set is 0 "
-            "and the optimality certificate is vacuous"
-        )
+        raise _incoherent_input_error()
     return moduli
 
 
@@ -79,7 +70,7 @@ def _candidate_diagonal(delta, dim: int) -> np.ndarray:
     """The diagonal of the incoherent candidate ``delta``, checked to have ``dim`` entries."""
     d = as_incoherent_state(delta).diag
     if d.size != dim:
-        raise ValidationError(f"candidate dimension {d.size} does not match state dimension {dim}")
+        raise _dimension_error(d.size, dim)
     return d
 
 
@@ -139,11 +130,7 @@ def verify_pure_optimality(x, delta, tol: float | None = None) -> PureCertificat
     lo = max(0.0, float(np.max(weights - d)), 1.0 - float(d @ weights))
     lam = _secular_root(weights, d, lo, 1.0)
     if lam <= tol:
-        raise InconclusiveCertificateError(
-            f"expected exactly one eigenvalue above {tol:g}, found none: the "
-            f"positive eigenvalue {lam:.3e} of |x><x| - D is within tolerance of "
-            "the rest of the spectrum; certificate inconclusive"
-        )
+        raise _inconclusive_error(lam, tol)
     v_sq = weights / (lam + d) ** 2
     v_sq /= float(np.sum(v_sq))
     margin = float(d @ v_sq - v_sq.max())

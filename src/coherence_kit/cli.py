@@ -18,6 +18,13 @@ table ``COMMANDS``; help, version and every other form go to the argparse
 parser that ``parser.build_parser`` makes from the same table, which is
 imported only then.
 
+This module, ``io`` and ``core`` import numpy only inside the functions that
+use it, so help, version, usage errors and refusals made before a load never
+import it. Neither do ``measures``, ``nearest`` and ``verify`` on a ``pure``
+state file (and an ``incoherent`` candidate) below ``io.CACHE_MIN_BYTES``:
+``io`` reads it as Python numbers and the closed forms of ``pure_floats`` run
+on them, since importing numpy would take longer than the whole computation.
+
 Exit codes form a stable scripting contract: 0 success, 1 validation failure
 (a usage error included) or an input too large for the memory available, 2 a
 requested certificate or verification came back negative, 3 internal
@@ -45,15 +52,14 @@ if __name__ == "__main__":
 import contextlib
 import importlib
 import itertools
+import math
 import os
 import time
 import types
 
-import numpy as np
-
 from . import __version__
 from .core import InconclusiveCertificateError, ValidationError
-from .io import StateFile, format_finite, load_state_file, render_pieces, to_state
+from .io import StateFile, _is_ndarray, format_finite, load_state_file, render_pieces, to_state
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -88,7 +94,7 @@ def _flatten(obj, prefix="", out=None):
     ):
         for i, value in enumerate(obj):
             _flatten(value, f"{prefix[:-1]}[{i}].", out)
-    elif isinstance(obj, (np.ndarray, list, float)):
+    elif isinstance(obj, (list, float)) or _is_ndarray(obj):
         out.append((prefix[:-1], "".join(format_finite(obj))))
     elif isinstance(obj, bool):
         out.append((prefix[:-1], "true" if obj else "false"))
@@ -97,9 +103,15 @@ def _flatten(obj, prefix="", out=None):
     return out
 
 
-def _sparse(weights: np.ndarray) -> dict:
-    """A nearest-incoherent weight vector as reports print it: the ascending
-    indices of its nonzero weights, and those weights."""
+def _sparse(weights) -> dict:
+    """A nearest-incoherent weight vector, an array or a list of floats, as
+    reports print it: the ascending indices of its nonzero weights, and those
+    weights."""
+    if isinstance(weights, list):
+        support = [i for i, w in enumerate(weights) if w]
+        return {"support": support, "weights": [weights[i] for i in support]}
+    import numpy as np
+
     support = np.flatnonzero(weights)
     return {"support": support, "weights": weights[support]}
 
@@ -129,14 +141,19 @@ class _Inputs:
         self.read: list[tuple[str, str]] = []
         self.load_s = 0.0
 
-    def load(self, path: str, role: str, *kinds: str) -> tuple[StateFile, object]:
+    def load(
+        self, path: str, role: str, *kinds: str, python_floats: bool = False
+    ) -> tuple[StateFile, object]:
         """The state file at ``path`` and the state it describes.
 
         The document's kind is checked against ``kinds`` before any state is
         built; ``role`` names the command, or the command and option, reading it.
+        With ``python_floats``, a small ``pure`` or ``incoherent`` document is
+        read as Python numbers and its state is one of ``pure_floats``
+        (``io.load_state_file``).
         """
         started = time.perf_counter()
-        sf = load_state_file(path)
+        sf = load_state_file(path, python_floats=python_floats)
         if sf.kind not in kinds:
             accepted = " or ".join(repr(kind) for kind in kinds)
             hint = ""
@@ -189,8 +206,8 @@ def _number(convert, accept, what: str):
 
 _positive_int = _number(int, lambda v: v >= 1, "a positive integer")
 _non_negative_int = _number(int, lambda v: v >= 0, "a non-negative integer")
-_step_scale = _number(float, lambda v: 0.0 < v < np.inf, "a finite positive number")
-_tolerance = _number(float, lambda v: 0.0 <= v < np.inf, "a finite non-negative number")
+_step_scale = _number(float, lambda v: 0.0 < v < math.inf, "a finite positive number")
+_tolerance = _number(float, lambda v: 0.0 <= v < math.inf, "a finite non-negative number")
 
 
 def _sizes(text: str) -> list[int]:
@@ -313,6 +330,14 @@ def _parse(argv) -> types.SimpleNamespace | None:
     return namespace
 
 
+def _numerical_errors() -> tuple:
+    """The exceptions that are numerical failures (exit 3); numpy's
+    LinAlgError only once numpy is loaded, since nothing raises it before."""
+    np = sys.modules.get("numpy")
+    lin_alg = (np.linalg.LinAlgError,) if np is not None else ()
+    return (InconclusiveCertificateError, ArithmeticError, *lin_alg)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse(argv)
@@ -354,7 +379,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_VALIDATION
-    except (InconclusiveCertificateError, np.linalg.LinAlgError, ArithmeticError) as exc:
+    except _numerical_errors() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except BrokenPipeError:

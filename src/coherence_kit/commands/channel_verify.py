@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..cli import EXIT_CERTIFICATE, EXIT_OK, _require_memory
 from ..core import ValidationError
 
@@ -29,6 +27,8 @@ def handle(args, inputs) -> tuple[dict | None, int]:
                 f"--local-dim {args.local_dim} x {args.local_dim}"
             )
     # Both files are checked before anything is sampled; sigma is drawn before v.
+    import numpy as np
+
     rng = np.random.default_rng(args.seed)
     if sigma is None:
         # sigma is d^2 x d^2 complex; sampling and validating it hold about four copies.

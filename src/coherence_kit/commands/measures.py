@@ -3,17 +3,25 @@
 from __future__ import annotations
 
 from ..cli import EXIT_OK, MEASURE_CHOICES, _sparse
-from ..core import PureState, ValidationError
+from ..core import ValidationError
+
+
+def _closed_forms(sf) -> tuple:
+    """c_l1, c_rel_entropy, c_robustness_pure and nearest_incoherent for the
+    state of ``sf``: those of ``pure_floats`` when it was read as Python numbers."""
+    if isinstance(sf.data, list):
+        from ..pure_floats import c_l1, c_rel_entropy, c_robustness_pure, nearest_incoherent
+    else:
+        from ..measures import c_l1, c_rel_entropy, c_robustness_pure
+        from ..trace_distance import nearest_incoherent
+    return c_l1, c_rel_entropy, c_robustness_pure, nearest_incoherent
 
 
 def handle(args, inputs) -> tuple[dict | None, int]:
-    from ..measures import c_l1, c_rel_entropy, c_robustness_pure
-    from ..trace_distance import nearest_incoherent
-
     loaded = []
     for path in args.input:
-        sf, state = inputs.load(path, "measures", "pure", "mixed")
-        pure = isinstance(state, PureState)
+        sf, state = inputs.load(path, "measures", "pure", "mixed", python_floats=True)
+        pure = sf.kind == "pure"
         names = args.measure or (MEASURE_CHOICES if pure else ("l1", "rel-ent", "tr"))
         if "robustness" in names and not pure:
             raise ValidationError(
@@ -23,6 +31,7 @@ def handle(args, inputs) -> tuple[dict | None, int]:
         loaded.append((sf, state, dict.fromkeys(names)))
     mixed_tr = []
     for sf, state, values in loaded:
+        c_l1, c_rel_entropy, c_robustness_pure, nearest_incoherent = _closed_forms(sf)
         for name in values:
             if name == "l1":
                 values[name] = c_l1(state)
@@ -30,7 +39,7 @@ def handle(args, inputs) -> tuple[dict | None, int]:
                 values[name] = c_rel_entropy(state)
             elif name == "robustness":
                 values[name] = c_robustness_pure(state)
-            elif isinstance(state, PureState):
+            elif sf.kind == "pure":
                 result = nearest_incoherent(state)
                 values[name] = {
                     "value": result.c_tr,

@@ -6,9 +6,12 @@ from ..cli import EXIT_OK, _sparse
 
 
 def handle(args, inputs) -> tuple[dict | None, int]:
-    from ..trace_distance import nearest_incoherent
+    sf, state = inputs.load(args.input, "nearest", "pure", python_floats=True)
+    if isinstance(sf.data, list):
+        from ..pure_floats import nearest_incoherent
+    else:
+        from ..trace_distance import nearest_incoherent
 
-    _, state = inputs.load(args.input, "nearest", "pure")
     result = nearest_incoherent(state)
     body = {
         "k": result.k,

@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .. import io as state_io
 from ..cli import EXIT_OK, _output, _require_memory
 from ..core import ValidationError
 
 
 def handle(args, inputs) -> tuple[dict | None, int]:
-    from ..random_states import random_bipartite_pure, random_mixed_state, random_pure_state
-
     if args.m is not None and args.kind != "bipartite-pure":
         raise ValidationError(f"random: --m applies only to --kind bipartite-pure, not {args.kind}")
     m = args.m or args.n
@@ -21,6 +17,11 @@ def handle(args, inputs) -> tuple[dict | None, int]:
     # state (G, its conjugate and G G^dagger while it is sampled) and 33 for
     # the others, plus half as much again; the text is written a piece at a time.
     _require_memory("random", flags, (75 if args.kind == "mixed" else 50) * entries)
+    # Imported after the refusals above, which need no numpy.
+    import numpy as np
+
+    from ..random_states import random_bipartite_pure, random_mixed_state, random_pure_state
+
     rng = np.random.default_rng(args.seed)
     with _output(args.output) as out:
         for _ in range(args.count):

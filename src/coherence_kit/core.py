@@ -4,14 +4,17 @@ Everything in this module is a pure function over immutable values.  The state
 classes validate (and, where documented, renormalize) on construction and are
 never mutated afterwards, so concurrent use needs no locking.  They compare by
 identity.
+
+numpy is imported inside the functions that use it, so a caller that needs
+only the error classes (``cli``, ``io``, ``pure_floats``) loads no numpy.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from functools import cached_property
 from typing import NamedTuple
-
-import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 
@@ -32,7 +35,13 @@ class InconclusiveCertificateError(RuntimeError):
     """Degenerate spectrum prevented a well-defined certificate evaluation."""
 
 
+class IncoherentInputError(ValidationError):
+    """The input state is already incoherent, so the certificate is vacuous."""
+
+
 def _require_finite(arr: np.ndarray, what: str) -> None:
+    import numpy as np
+
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValidationError(f"{what} must contain only finite entries")
 
@@ -40,6 +49,8 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
 def _probability_vector(p, what: str) -> np.ndarray:
     """``p`` as a finite non-negative 1-D vector summing to one within the
     construction tolerance; entries in (-tol, 0) are clipped to zero."""
+    import numpy as np
+
     tol = DEFAULT_TOLERANCES.construction
     vec = np.atleast_1d(np.asarray(p, dtype=float))
     if vec.ndim != 1 or vec.size == 0:
@@ -55,7 +66,7 @@ def _probability_vector(p, what: str) -> np.ndarray:
 
 
 # Below this l2 norm the squares np.linalg.norm sums lose bits to underflow.
-_NORM_SAFE_MIN = float(np.sqrt(np.finfo(float).tiny)) * 2.0**26
+_NORM_SAFE_MIN = math.sqrt(sys.float_info.min) * 2.0**26
 
 
 def _unit_amplitudes(amplitudes, ndim: int, what: str) -> np.ndarray:
@@ -66,6 +77,8 @@ def _unit_amplitudes(amplitudes, ndim: int, what: str) -> np.ndarray:
     are first scaled, exactly, by a power of two that brings the largest real
     or imaginary part into [0.5, 1); every other input keeps its bits.
     """
+    import numpy as np
+
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
     if amps.ndim != ndim or amps.size == 0:
         shape = "1-D vector" if ndim == 1 else "matrix"
@@ -87,6 +100,8 @@ def _unit_amplitudes(amplitudes, ndim: int, what: str) -> np.ndarray:
 def _hermitian_matrix(matrix, tol: float, what: str) -> np.ndarray:
     """``matrix`` as a complex array, non-empty, square, finite and Hermitian
     within ``tol``; a failed check names ``what``."""
+    import numpy as np
+
     m = np.asarray(matrix)
     # A real input is checked in real arithmetic, and converted once it passes.
     m = m.astype(float if m.dtype.kind == "f" else complex, copy=False)
@@ -121,6 +136,8 @@ def _cholesky_accepts(m: np.ndarray, tol: float) -> bool:
     trace-one m, ||R||_F^2 is about 1 and at tol = 1e-10 the test holds up to
     n ~ 10^5, far past d = 32 (n = 1024).  A NaN anywhere in R fails it.
     """
+    import numpy as np
+
     if np.iscomplexobj(m):
         if m.imag.any():
             return False
@@ -160,16 +177,22 @@ class PureState(_ReadOnly):
         return self.amplitudes.size
 
     def moduli(self) -> np.ndarray:
+        import numpy as np
+
         return np.abs(self.amplitudes)
 
     def projector(self) -> np.ndarray:
         """Rank-one density matrix |x><x| as a plain array."""
+        import numpy as np
+
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def density(self) -> "DensityMatrix":
         return DensityMatrix._trusted(self.projector())
 
     def __array__(self, dtype=None, copy=None):
+        import numpy as np
+
         return np.asarray(self.amplitudes, dtype=dtype)
 
 
@@ -190,6 +213,8 @@ class BipartitePureState(_ReadOnly):
 
     def projector(self) -> np.ndarray:
         """|v><v|, with |i>|j> at position i * n + j."""
+        import numpy as np
+
         k = self.amplitudes.reshape(-1)
         return np.outer(k, k.conj())
 
@@ -205,6 +230,8 @@ class DensityMatrix(_ReadOnly):
     """
 
     def __init__(self, matrix):
+        import numpy as np
+
         tols = DEFAULT_TOLERANCES
         m = _hermitian_matrix(matrix, tols.construction, "density matrix")
         trace = complex(np.trace(m))
@@ -224,12 +251,16 @@ class DensityMatrix(_ReadOnly):
     def _trusted(cls, matrix: np.ndarray) -> "DensityMatrix":
         # Constructor for matrices that are valid by construction (e.g. |x><x|);
         # skips the O(n^3) eigenvalue check.
+        import numpy as np
+
         obj = object.__new__(cls)
         object.__setattr__(obj, "matrix", np.asarray(matrix, dtype=complex))
         return obj
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
+        import numpy as np
+
         return np.linalg.eigvalsh(self.matrix)
 
     @property
@@ -237,9 +268,13 @@ class DensityMatrix(_ReadOnly):
         return self.matrix.shape[0]
 
     def diagonal(self) -> np.ndarray:
+        import numpy as np
+
         return np.real(np.diag(self.matrix)).copy()
 
     def __array__(self, dtype=None, copy=None):
+        import numpy as np
+
         return np.asarray(self.matrix, dtype=dtype)
 
 
@@ -252,6 +287,8 @@ class IncoherentState(_ReadOnly):
     """
 
     def __init__(self, diag):
+        import numpy as np
+
         d = _probability_vector(diag, "incoherent state")
         d = d / float(np.sum(d))
         for _ in range(2):
@@ -266,9 +303,13 @@ class IncoherentState(_ReadOnly):
         return self.diag.size
 
     def density(self) -> DensityMatrix:
+        import numpy as np
+
         return DensityMatrix._trusted(np.diag(self.diag.astype(complex)))
 
     def __array__(self, dtype=None, copy=None):
+        import numpy as np
+
         return np.asarray(self.diag, dtype=dtype)
 
 
@@ -304,12 +345,16 @@ def hermitian_eig(matrix) -> SpectralDecomposition:
         If the matrix is not a non-empty finite square matrix, Hermitian
         within the spectral tolerance; the message names the worst entry pair.
     """
+    import numpy as np
+
     w, v = np.linalg.eigh(_hermitian_matrix(matrix, DEFAULT_TOLERANCES.spectral, "matrix"))
     return SpectralDecomposition(w[::-1].copy(), v[:, ::-1].copy())
 
 
 def _require_bipartite_square(matrix, local_dim: int, what: str) -> np.ndarray:
     """``matrix`` as a complex array that acts on a d (x) d space, d = ``local_dim``."""
+    import numpy as np
+
     m = np.asarray(matrix, dtype=complex)
     d = int(local_dim)
     if d < 1 or m.shape != (d * d, d * d):
@@ -335,6 +380,8 @@ def is_ppt(matrix, local_dim: int, tol: float | None = None) -> bool:
     Cholesky factorization where it decides (``_cholesky_accepts``), else
     ``eigvalsh``.  A matrix that is not Hermitian within the spectral tolerance
     is refused, since both read only one triangle."""
+    import numpy as np
+
     if tol is None:
         tol = DEFAULT_TOLERANCES.psd_drift
     m = _hermitian_matrix(matrix, DEFAULT_TOLERANCES.spectral, "matrix")

@@ -9,13 +9,22 @@ amplitudes bit for bit. Arrays are written and parsed in whole-array numpy
 passes; a document numpy cannot read as one array goes through the per-entry
 parser, which accepts the same documents and names the first bad entry.
 
+A ``pure`` or ``incoherent`` document below ``CACHE_MIN_BYTES`` can skip
+numpy altogether: ``load_state_file(path, python_floats=True)`` reads it as
+a list of Python numbers, and ``to_state`` makes it a state of
+``pure_floats``. Importing numpy costs more than the closed forms of such a
+state take on Python floats (see ``CACHE_MIN_BYTES``). This module imports
+numpy only inside the functions that use it, and takes no value for a numpy
+array while numpy is not loaded.
+
 A float array, or a list of numbers, of fewer than ``KERNEL_MIN_SIZE``
 elements is written by one ``%.17g`` pass over its template, laid out as
-``render_json`` lays out lists. A larger one is written by the kernel in
-``floatfmt``, which gives the same bytes: it computes the digits of every
-element with 1e-6 <= |x| < 1e17 exactly in numpy (Dekker's error-free
-product), and gives every other element, and any whose decimal exponent it
-cannot settle, to one ``%`` pass. Text is made, written, and for a state
+``render_json`` lays out lists; so is a list of any length while numpy is not
+loaded. A larger one is written by the kernel in ``floatfmt``, which gives
+the same bytes: it computes the digits of every element with
+1e-6 <= |x| < 1e17 exactly in numpy (Dekker's error-free product), and gives
+every other element, and any whose decimal exponent it cannot settle, to one
+``%`` pass. Text is made, written, and for a state
 file hashed, as a sequence of pieces (``render_pieces``).
 
 A document of at least ``CACHE_MIN_BYTES`` is parsed once: its validated
@@ -28,14 +37,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 # ``json.dumps`` of a str is this C function's text; importing the json
 # package for it would load its decoder too, which only a parse needs.
 from _json import encode_basestring_ascii as _json_string
 from collections.abc import Iterator
 from pathlib import Path
 from typing import NamedTuple
-
-import numpy as np
 
 from .core import (
     BipartitePureState,
@@ -68,20 +76,36 @@ KERNEL_MIN_SIZE = 128
 
 # Documents of at least this size go through the parse cache. A smaller one
 # parses in milliseconds (6 ms at 240 KB), so it is not worth an entry.
+#
+# It is also the size below which a ``pure`` or ``incoherent`` document may be
+# read as Python numbers (``load_state_file``'s ``python_floats``). On random
+# states written with 17 digits (about 48 bytes an entry), ``measures``,
+# ``nearest`` and ``verify`` children ran 19-49 % faster on Python floats than
+# with numpy's import, at every size up to 21,500 entries (1.03 MB); with
+# 4-digit entries (19 bytes each, 55,000 entries below the limit) ``nearest``
+# took 2 % and ``measures`` 13 % longer (BENCH_small_pure.json).
 CACHE_MIN_BYTES = 1 << 20
+_FLOAT_KINDS = ("pure", "incoherent")
 
 
 class StateFile(NamedTuple):
     """Parsed state document: kind, explicit dims, complex data array.
 
-    ``digest`` is the sha256 hex digest of the bytes that were parsed, set
-    when the document was read from a file.
+    ``data`` is a list of Python numbers instead when the document was parsed
+    with ``python_floats``. ``digest`` is the sha256 hex digest of the bytes
+    that were parsed, set when the document was read from a file.
     """
 
     kind: str
     dims: tuple[int, ...]
-    data: np.ndarray
+    data: np.ndarray | list
     digest: str | None = None
+
+
+def _is_ndarray(obj) -> bool:
+    """Whether ``obj`` is a numpy array; while numpy is not loaded, nothing is."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(obj, np.ndarray)
 
 
 def _is_number(value) -> bool:
@@ -184,6 +208,8 @@ def _parse_array(
     numpy reads a bool among numbers as 1 or 0, so unless ``may_hold_bools``
     is false the entries' types are scanned once for bools.
     """
+    import numpy as np
+
     try:
         arr = np.array(data)
     except (ValueError, OverflowError):
@@ -201,14 +227,38 @@ def _parse_array(
     return None
 
 
+def _parse_floats(
+    data: list, shape: tuple[int, ...], real: bool, may_hold_bools: bool
+) -> list | None:
+    """``data``, a vector of ``shape`` (its length checked), as a list of Python
+    floats (``real``) or complex numbers from [re, im] pairs; None for anything
+    else, which the per-entry parser then decides, as for ``_parse_array``.
+
+    ``complex(re, im)`` refuses every pair but one of two numbers, bools
+    aside: unless ``may_hold_bools`` is false, the per-entry parser decides.
+    """
+    if may_hold_bools:
+        return None
+    try:
+        if real:
+            return list(map(float, data)) if set(map(type, data)) <= {float, int} else None
+        return [complex(re, im) for re, im in data]
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def parse_state_document(
-    doc, source: str = "<memory>", *, may_hold_bools: bool = True
+    doc, source: str = "<memory>", *, may_hold_bools: bool = True, python_floats: bool = False
 ) -> StateFile:
     """The validated contents of a state document.
 
     ``may_hold_bools`` false says that no value in ``doc`` is a bool, as when
     the JSON text it was read from holds neither ``true`` nor ``false``; the
-    scan of every entry's type for bools is then skipped.
+    scan of every entry's type for bools is then skipped. With
+    ``python_floats``, a ``pure`` or ``incoherent`` document's data comes
+    back as a list of Python numbers (complex or float), read without numpy:
+    as one list when it is a plain vector (``_parse_floats``), else by the
+    per-entry parser.
     """
     if not isinstance(doc, dict):
         raise ValidationError(f"{source}: state document must be an object")
@@ -231,10 +281,15 @@ def parse_state_document(
     if len(data) != shape[0]:
         items = "entries" if len(shape) == 1 else "rows"
         raise ValidationError(f"{source}: 'data' has {len(data)} {items}, dims say {shape[0]}")
-    values = _parse_array(data, shape, spec.real, may_hold_bools)
+    floats = python_floats and kind in _FLOAT_KINDS
+    values = (_parse_floats if floats else _parse_array)(data, shape, spec.real, may_hold_bools)
     if values is None:
         parse = _parse_real if spec.real else _parse_complex
-        values = np.array(_parse_entries(data, shape, parse, f"{source}: data"))
+        values = _parse_entries(data, shape, parse, f"{source}: data")
+        if not floats:
+            import numpy as np
+
+            values = np.array(values)
     return StateFile(kind=kind, dims=tuple(dims), data=values)
 
 
@@ -244,11 +299,15 @@ def _parse_int(literal: str):
     return -0.0 if literal == "-0" else int(literal)
 
 
-def load_state_file(path) -> StateFile:
+def load_state_file(path, *, python_floats: bool = False) -> StateFile:
     """Read, parse and hash a state file; the file is read once.
 
     A document of at least ``CACHE_MIN_BYTES`` whose bytes were parsed before
-    is read back from the parse cache instead of parsed again.
+    is read back from the parse cache instead of parsed again. With
+    ``python_floats``, a smaller ``pure`` or ``incoherent`` document is parsed
+    without numpy, its data a list of Python numbers (see
+    ``parse_state_document``); the size decides before the parse, and every
+    other document is parsed as without it.
     """
     import hashlib
 
@@ -275,7 +334,12 @@ def load_state_file(path) -> StateFile:
         raise ValidationError(f"{path}: JSON nested too deeply") from None
     # JSON has no bool but the literals true and false.
     may_hold_bools = b"true" in raw or b"false" in raw
-    sf = parse_state_document(doc, source=str(path), may_hold_bools=may_hold_bools)
+    sf = parse_state_document(
+        doc,
+        source=str(path),
+        may_hold_bools=may_hold_bools,
+        python_floats=python_floats and not cacheable,
+    )
     if cacheable:
         from . import cache
 
@@ -303,6 +367,8 @@ def state_document(kind: str, data: np.ndarray) -> dict:
     """The document of a state; ``data`` becomes a float array of shape
     ``dims`` (incoherent) or ``dims + (2,)`` ([re, im] pairs). ``data`` must
     have the shape a parse of ``kind`` gives."""
+    import numpy as np
+
     spec = _KINDS.get(kind)
     if spec is None:
         raise ValidationError(f"unknown state kind {kind!r}")
@@ -342,11 +408,19 @@ def format_finite(obj, indent: int = 0, level: int = 0) -> Iterator[str]:
 
     A list, tuple or array of at least ``KERNEL_MIN_SIZE`` elements is
     formatted by ``floatfmt``, which makes the text a chunk at a time as the
-    pieces are taken; a smaller one by one ``%`` pass.
+    pieces are taken; a smaller one by one ``%`` pass. So is a list or tuple
+    of any length while numpy is not loaded: importing numpy for the kernel
+    would cost more than the pass takes on any list a report holds.
     """
-    if not isinstance(obj, (np.ndarray, list, tuple)):
+    if isinstance(obj, (list, tuple)):
+        if len(obj) < KERNEL_MIN_SIZE or "numpy" not in sys.modules:
+            _require_finite(all(map(math.isfinite, obj)))
+            return iter([_float_template((len(obj),), indent, level) % tuple(obj)])
+    elif not _is_ndarray(obj):
         _require_finite(math.isfinite(obj))
         return iter(["%.17g" % obj])
+    import numpy as np
+
     if not (isinstance(obj, np.ndarray) and obj.dtype in (np.float16, np.float32, np.float64)):
         # ``%`` would make every element a double as well.
         obj = np.asarray(obj, dtype=np.float64)
@@ -371,7 +445,7 @@ def _parts(obj, indent: int, level: int):
     integer ndarray, or of a list of nothing but Python floats, as the
     iterator of its one ``format_finite`` pass; ints, bools and numpy scalars
     are elements."""
-    if (isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind in "fiu") or (
+    if (_is_ndarray(obj) and obj.ndim and obj.dtype.kind in "fiu") or (
         isinstance(obj, (list, tuple)) and obj and all(type(v) is float for v in obj)
     ):
         yield format_finite(obj, indent, level)
@@ -394,9 +468,10 @@ def _scalar(obj) -> str:
         return "{}"
     if isinstance(obj, (list, tuple)):
         return "[]"
-    if isinstance(obj, (int, np.integer)):
+    np = sys.modules.get("numpy")
+    if isinstance(obj, int) or (np is not None and isinstance(obj, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float) or (np is not None and isinstance(obj, np.floating)):
         return next(format_finite(float(obj)))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -407,7 +482,7 @@ def _wrap(keys, values, brackets: str, indent: int, level: int):
     first, between, last = _separators(indent, level)
     separator = brackets[0] + first
     for key, value in zip(keys, values):
-        if isinstance(value, (dict, list, tuple, np.ndarray)):
+        if isinstance(value, (dict, list, tuple)) or _is_ndarray(value):
             yield separator + key
             yield from _parts(value, indent, level + 1)
         else:
@@ -451,7 +526,12 @@ def write_state_file(fh, kind: str, data: np.ndarray) -> tuple[str, int]:
 
 
 def to_state(sf: StateFile):
-    """Materialize the validated state object a document describes."""
+    """Materialize the validated state object a document describes: a state
+    of ``pure_floats`` when its data is a list of Python numbers."""
+    if isinstance(sf.data, list):
+        from .pure_floats import FloatIncoherentState, FloatPureState
+
+        return (FloatPureState if sf.kind == "pure" else FloatIncoherentState)(sf.data)
     return _KINDS[sf.kind].state(sf.data)
 
 

@@ -47,6 +47,21 @@ PURE_INPUTS = {
 }
 
 
+# Small documents that fail one check each, written as text: the writer
+# refuses non-finite numbers and bools.
+ERROR_INPUTS = {
+    "infinity-amplitude": '{"kind": "pure", "dims": [2], "data": [[Infinity, 0], [1, 0]]}\n',
+    "all-zero": '{"kind": "pure", "dims": [3], "data": [[0, 0], [0.0, -0.0], 0]}\n',
+    "bool-entry": '{"kind": "pure", "dims": [2], "data": [[0.6, 0], true]}\n',
+    "basis-3": '{"kind": "pure", "dims": [3], "data": [[1, 0], [0, 0], [0, 0]]}\n',
+    "basis-3-itself": '{"kind": "incoherent", "dims": [3], "data": [1, 0, 0]}\n',
+    "negative-weight": '{"kind": "incoherent", "dims": [3], "data": [0.75, -0.25, 0.5]}\n',
+    # Ten entries, so the sum in the message is numpy's pairwise one.
+    "sum-off": '{"kind": "incoherent", "dims": [10], "data": [%s]}\n' % ", ".join(["0.11"] * 10),
+    "two-weights": '{"kind": "incoherent", "dims": [2], "data": [0.5, 0.5]}\n',
+}
+
+
 def mask_timings(text: str) -> str:
     return TIMINGS.sub("<timings>", text)
 
@@ -78,6 +93,8 @@ def write_inputs() -> None:
     write_state(inputs / "mixed-qubit-skewed.json", "incoherent", np.array([0.6, 0.4]))
     write_state(inputs / "mixed-diagonal.json", "mixed", np.diag([0.7, 0.3]))
     write_state(inputs / "mixed-diagonal-itself.json", "incoherent", np.array([0.7, 0.3]))
+    for name, text in ERROR_INPUTS.items():
+        (inputs / f"{name}.json").write_text(text)
 
 
 def cases() -> list[dict]:
@@ -146,6 +163,21 @@ def cases() -> list[dict]:
         ("unknown-option", ["nearest", "--input", "inputs/qutrit.json", "--frobnicate"]),
     ]
     table += [{"name": f"usage-{name}", "argv": argv, "lapack": False} for name, argv in usage]
+    # One case per class of error on small pure input: exit 1 with the check's
+    # message, and exit 3 where the certificate cannot decide at --tol.
+    qutrit = ["--input", "inputs/qutrit.json", "--candidate"]
+    errors = [
+        ("infinity-amplitude", ["nearest", "--input", "inputs/infinity-amplitude.json"]),
+        ("all-zero", ["measures", "--input", "inputs/all-zero.json"]),
+        ("bool-entry", ["nearest", "--input", "inputs/bool-entry.json"]),
+        ("negative-weight", ["verify", *qutrit, "inputs/negative-weight.json"]),
+        ("sum-off", ["verify", *qutrit, "inputs/sum-off.json"]),
+        ("wrong-dimension", ["verify", *qutrit, "inputs/two-weights.json"]),
+        ("incoherent-input", ["verify", "--input", "inputs/basis-3.json",
+                              "--candidate", "inputs/basis-3-itself.json"]),
+        ("inconclusive", ["verify", *qutrit, "inputs/qutrit-nearest.json", "--tol", "0.9"]),
+    ]
+    table += [{"name": f"error-{name}", "argv": argv, "lapack": False} for name, argv in errors]
     # Argument forms beyond plain ``--flag value`` pairs, each decided by argparse:
     # an ``=`` form, an abbreviation, a repeated single option, a value that
     # starts with "-" and a bad value; then ``append`` options interleaved.

@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from coherence_kit import cli, entanglement, mixed_tr, oracle, random_states, trace_distance
+from coherence_kit import cli, entanglement, mixed_tr, oracle, pure_floats, random_states, trace_distance
 from coherence_kit import io as state_io
 from coherence_kit.commands import nearest as nearest_command
 from coherence_kit.core import PureState, ValidationError
@@ -857,6 +857,8 @@ class TestResourceErrors:
         def exhausted(state):
             raise MemoryError("Unable to allocate 74.5 GiB for an array")
 
+        # A small file takes the Python-float solver, a large one numpy's.
+        monkeypatch.setattr(pure_floats, "nearest_incoherent", exhausted)
         monkeypatch.setattr(trace_distance, "nearest_incoherent", exhausted)
         path = write_pure(tmp_path / "x.json", [0.8, 0.6])
         code = cli.main(["nearest", "--input", path])
@@ -1170,9 +1172,9 @@ class TestTimings:
         }[command]
         load = cli.load_state_file
 
-        def slow_load(path):
+        def slow_load(path, **keywords):
             time.sleep(self.DELAY_S)
-            return load(path)
+            return load(path, **keywords)
 
         monkeypatch.setattr(cli, "load_state_file", slow_load)
         code, report = run_json(argv, capsys)
@@ -1195,7 +1197,7 @@ class TestLargeStateFiles:
         monkeypatch.setattr(state_io, "_parse_real", forbidden)
         monkeypatch.setattr(state_io, "_holds_bool", forbidden)
         # The whole-array parse is under test here: no load may skip it through the parse cache.
-        monkeypatch.setattr(state_io, "CACHE_MIN_BYTES", float("inf"))
+        monkeypatch.setattr(state_io, "_cached_state_file", lambda digest: None)
         path = tmp_path / "x.json"
         argv = ["random", "--kind", "pure", "--n", "100000", "--seed", "123", "--output", str(path)]
         assert cli.main(argv) == 0
@@ -1219,15 +1221,17 @@ class TestLargeStateFiles:
         path = write_pure(tmp_path / "x.json", x.amplitudes)
         code, out = run_cli(["nearest", "--input", path, "--format", "table"], capsys)
         assert code == 0
-        result = nearest_incoherent(to_state(load_state_file(path)))
+        # The file is below CACHE_MIN_BYTES, so the call ran on Python floats.
+        result = pure_floats.nearest_incoherent(to_state(load_state_file(path, python_floats=True)))
+        diag = np.array(result.nearest.diag)
         lines = dict(line.split(" = ", 1) for line in out.splitlines())
-        support = np.flatnonzero(result.nearest.diag)
-        per_element = ", ".join(format(float(v), ".17g") for v in result.nearest.diag[support])
+        support = np.flatnonzero(diag)
+        per_element = ", ".join(format(float(v), ".17g") for v in diag[support])
         assert lines["nearest.support"] == "[" + ", ".join(map(str, support)) + "]"
         assert lines["nearest.weights"] == "[" + per_element + "]"
         dense = np.zeros(x.dim)
         dense[json.loads(lines["nearest.support"])] = json.loads(lines["nearest.weights"])
-        assert np.array_equal(dense, result.nearest.diag)
+        assert np.array_equal(dense, diag)
         assert lines["c_tr"] == format(result.c_tr, ".17g")
         assert lines["mu"] == format(result.mu, ".17g")
         assert lines["k"] == str(result.k)

