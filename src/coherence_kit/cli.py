@@ -21,9 +21,10 @@ imported only then.
 This module, ``io`` and ``core`` import numpy only inside the functions that
 use it, so help, version, usage errors and refusals made before a load never
 import it. Neither do ``measures``, ``nearest`` and ``verify`` on a ``pure``
-state file (and an ``incoherent`` candidate) below ``io.CACHE_MIN_BYTES``:
-``io`` reads it as Python numbers and the closed forms of ``pure_floats`` run
-on them, since importing numpy would take longer than the whole computation.
+state file (and an ``incoherent`` candidate) below ``io.CACHE_MIN_BYTES`` of
+at most ``io.FLOAT_PATH_MAX_ENTRIES`` entries: ``io`` reads it as Python
+numbers and the closed forms of ``pure_floats`` run on them, since importing
+numpy would take longer than the whole computation.
 
 Exit codes form a stable scripting contract: 0 success, 1 validation failure
 (a usage error included) or an input too large for the memory available, 2 a
@@ -59,7 +60,15 @@ import types
 
 from . import __version__
 from .core import InconclusiveCertificateError, ValidationError
-from .io import StateFile, _is_ndarray, format_finite, load_state_file, render_pieces, to_state
+from .io import (
+    StateFile,
+    _is_ndarray,
+    _numpy,
+    format_finite,
+    load_state_file,
+    render_pieces,
+    to_state,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -333,7 +342,7 @@ def _parse(argv) -> types.SimpleNamespace | None:
 def _numerical_errors() -> tuple:
     """The exceptions that are numerical failures (exit 3); numpy's
     LinAlgError only once numpy is loaded, since nothing raises it before."""
-    np = sys.modules.get("numpy")
+    np = _numpy()
     lin_alg = (np.linalg.LinAlgError,) if np is not None else ()
     return (InconclusiveCertificateError, ArithmeticError, *lin_alg)
 

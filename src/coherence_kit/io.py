@@ -9,13 +9,14 @@ amplitudes bit for bit. Arrays are written and parsed in whole-array numpy
 passes; a document numpy cannot read as one array goes through the per-entry
 parser, which accepts the same documents and names the first bad entry.
 
-A ``pure`` or ``incoherent`` document below ``CACHE_MIN_BYTES`` can skip
-numpy altogether: ``load_state_file(path, python_floats=True)`` reads it as
-a list of Python numbers, and ``to_state`` makes it a state of
-``pure_floats``. Importing numpy costs more than the closed forms of such a
-state take on Python floats (see ``CACHE_MIN_BYTES``). This module imports
-numpy only inside the functions that use it, and takes no value for a numpy
-array while numpy is not loaded.
+A ``pure`` or ``incoherent`` document below ``CACHE_MIN_BYTES`` of at most
+``FLOAT_PATH_MAX_ENTRIES`` entries can skip numpy altogether:
+``load_state_file(path, python_floats=True)`` reads it as a list of Python
+numbers, and ``to_state`` makes it a state of ``pure_floats``. Importing
+numpy costs more than the closed forms of such a state take on Python floats
+(see ``FLOAT_PATH_MAX_ENTRIES``). This module imports numpy only inside the
+functions that use it, and takes no value for a numpy array while numpy is
+not loaded (``_numpy``).
 
 A float array, or a list of numbers, of fewer than ``KERNEL_MIN_SIZE``
 elements is written by one ``%.17g`` pass over its template, laid out as
@@ -76,15 +77,17 @@ KERNEL_MIN_SIZE = 128
 
 # Documents of at least this size go through the parse cache. A smaller one
 # parses in milliseconds (6 ms at 240 KB), so it is not worth an entry.
-#
-# It is also the size below which a ``pure`` or ``incoherent`` document may be
-# read as Python numbers (``load_state_file``'s ``python_floats``). On random
-# states written with 17 digits (about 48 bytes an entry), ``measures``,
-# ``nearest`` and ``verify`` children ran 19-49 % faster on Python floats than
-# with numpy's import, at every size up to 21,500 entries (1.03 MB); with
-# 4-digit entries (19 bytes each, 55,000 entries below the limit) ``nearest``
-# took 2 % and ``measures`` 13 % longer (BENCH_small_pure.json).
 CACHE_MIN_BYTES = 1 << 20
+
+# A ``pure`` or ``incoherent`` document below ``CACHE_MIN_BYTES`` with at most
+# this many entries may be read as Python numbers (``python_floats``). The cost
+# of the closed forms on Python floats grows with the entries, not the bytes,
+# while numpy's side is mostly its import. Children of ``measures``,
+# ``nearest`` and ``verify`` (one BLAS thread, 11 alternating pairs,
+# BENCH_small_pure.json) ran 11-27 % faster on Python floats at 30,000
+# entries of 4 digits; at 40,000 ``measures`` was about even, and at 55,000
+# 14 % slower. A file this module writes holds fewer than 22,000 below 1 MiB.
+FLOAT_PATH_MAX_ENTRIES = 30_000
 _FLOAT_KINDS = ("pure", "incoherent")
 
 
@@ -102,9 +105,15 @@ class StateFile(NamedTuple):
     digest: str | None = None
 
 
+def _numpy():
+    """The numpy module if it is loaded, else None; nothing here imports it
+    only to ask whether a value is one of its types."""
+    return sys.modules.get("numpy")
+
+
 def _is_ndarray(obj) -> bool:
     """Whether ``obj`` is a numpy array; while numpy is not loaded, nothing is."""
-    np = sys.modules.get("numpy")
+    np = _numpy()
     return np is not None and isinstance(obj, np.ndarray)
 
 
@@ -227,15 +236,15 @@ def _parse_array(
     return None
 
 
-def _parse_floats(
-    data: list, shape: tuple[int, ...], real: bool, may_hold_bools: bool
-) -> list | None:
-    """``data``, a vector of ``shape`` (its length checked), as a list of Python
-    floats (``real``) or complex numbers from [re, im] pairs; None for anything
-    else, which the per-entry parser then decides, as for ``_parse_array``.
+def _parse_floats(data: list, real: bool, may_hold_bools: bool) -> list | None:
+    """``data``, a vector whose length is checked, as a list of Python floats
+    (``real``) or complex numbers from [re, im] pairs; None for anything else,
+    which the per-entry parser then decides, as for ``_parse_array``.
 
     ``complex(re, im)`` refuses every pair but one of two numbers, bools
     aside: unless ``may_hold_bools`` is false, the per-entry parser decides.
+    One pass of ``complex`` takes a tenth of the per-entry parser's time
+    (0.22 against 2.6 ms at 1000 entries, 2.8 against 27 ms at 21,500).
     """
     if may_hold_bools:
         return None
@@ -256,9 +265,9 @@ def parse_state_document(
     the JSON text it was read from holds neither ``true`` nor ``false``; the
     scan of every entry's type for bools is then skipped. With
     ``python_floats``, a ``pure`` or ``incoherent`` document's data comes
-    back as a list of Python numbers (complex or float), read without numpy:
-    as one list when it is a plain vector (``_parse_floats``), else by the
-    per-entry parser.
+    back as a list of Python numbers (complex or float), read without numpy,
+    when it has at most ``FLOAT_PATH_MAX_ENTRIES`` entries: as one list when
+    it is a plain vector (``_parse_floats``), else by the per-entry parser.
     """
     if not isinstance(doc, dict):
         raise ValidationError(f"{source}: state document must be an object")
@@ -281,8 +290,11 @@ def parse_state_document(
     if len(data) != shape[0]:
         items = "entries" if len(shape) == 1 else "rows"
         raise ValidationError(f"{source}: 'data' has {len(data)} {items}, dims say {shape[0]}")
-    floats = python_floats and kind in _FLOAT_KINDS
-    values = (_parse_floats if floats else _parse_array)(data, shape, spec.real, may_hold_bools)
+    floats = python_floats and kind in _FLOAT_KINDS and len(data) <= FLOAT_PATH_MAX_ENTRIES
+    if floats:
+        values = _parse_floats(data, spec.real, may_hold_bools)
+    else:
+        values = _parse_array(data, shape, spec.real, may_hold_bools)
     if values is None:
         parse = _parse_real if spec.real else _parse_complex
         values = _parse_entries(data, shape, parse, f"{source}: data")
@@ -304,10 +316,10 @@ def load_state_file(path, *, python_floats: bool = False) -> StateFile:
 
     A document of at least ``CACHE_MIN_BYTES`` whose bytes were parsed before
     is read back from the parse cache instead of parsed again. With
-    ``python_floats``, a smaller ``pure`` or ``incoherent`` document is parsed
-    without numpy, its data a list of Python numbers (see
-    ``parse_state_document``); the size decides before the parse, and every
-    other document is parsed as without it.
+    ``python_floats``, a smaller ``pure`` or ``incoherent`` document of at
+    most ``FLOAT_PATH_MAX_ENTRIES`` entries is parsed without numpy, its data
+    a list of Python numbers (see ``parse_state_document``); every other
+    document is parsed as without it.
     """
     import hashlib
 
@@ -413,7 +425,7 @@ def format_finite(obj, indent: int = 0, level: int = 0) -> Iterator[str]:
     would cost more than the pass takes on any list a report holds.
     """
     if isinstance(obj, (list, tuple)):
-        if len(obj) < KERNEL_MIN_SIZE or "numpy" not in sys.modules:
+        if len(obj) < KERNEL_MIN_SIZE or _numpy() is None:
             _require_finite(all(map(math.isfinite, obj)))
             return iter([_float_template((len(obj),), indent, level) % tuple(obj)])
     elif not _is_ndarray(obj):
@@ -468,7 +480,7 @@ def _scalar(obj) -> str:
         return "{}"
     if isinstance(obj, (list, tuple)):
         return "[]"
-    np = sys.modules.get("numpy")
+    np = _numpy()
     if isinstance(obj, int) or (np is not None and isinstance(obj, np.integer)):
         return str(int(obj))
     if isinstance(obj, float) or (np is not None and isinstance(obj, np.floating)):

@@ -4,8 +4,9 @@ Importing numpy takes most of a short CLI call. The nearest incoherent state
 of a pure state has a closed form that needs only a sort, prefix sums, square
 roots and, for the certificate, a scalar secular equation, so a small input
 needs no linear algebra. ``io`` reads a ``pure`` or ``incoherent`` document
-below ``io.CACHE_MIN_BYTES`` as Python numbers, and ``measures``, ``nearest``
-and ``verify`` run on them here. Nothing in this module imports numpy.
+below ``io.CACHE_MIN_BYTES`` of at most ``io.FLOAT_PATH_MAX_ENTRIES`` entries
+as Python numbers, and ``measures``, ``nearest`` and ``verify`` run on them
+here. Nothing in this module imports numpy.
 
 Each name is the twin of a numpy function and keeps its error text:
 

@@ -1,7 +1,8 @@
 """The pure-state closed forms on Python floats against their numpy twins.
 
 ``pure_floats`` is the differential reference for the numpy path at every size
-below ``io.CACHE_MIN_BYTES``, and the numpy path is its reference in turn.
+it takes (below ``io.CACHE_MIN_BYTES`` and at most ``io.FLOAT_PATH_MAX_ENTRIES``
+entries), and the numpy path is its reference in turn.
 
 - From the same moduli, on every family: k, the support, q_k, mu, c_tr and
   the nearest weights are bit-identical (``pure_floats._np_sum`` adds as
@@ -334,3 +335,30 @@ def test_a_candidate_too_large_for_python_floats_is_read_with_numpy(
     assert small[0] == large[0] == 0
     # The two candidates normalize to the same bits, so the certificates are equal.
     assert small[1]["certificate"] == large[1]["certificate"]
+
+
+@pytest.fixture(scope="module")
+def entry_limit_files(tmp_path_factory):
+    """Pure states of 4-digit entries, with FLOAT_PATH_MAX_ENTRIES entries and
+    with one more, in files far below CACHE_MIN_BYTES."""
+    root = tmp_path_factory.mktemp("entry-limit")
+    rng = np.random.default_rng(29)
+    paths = []
+    for n in (state_io.FLOAT_PATH_MAX_ENTRIES, state_io.FLOAT_PATH_MAX_ENTRIES + 1):
+        path = root / f"x{n}.json"
+        data = np.round(rng.standard_normal((n, 2)), 4).tolist()
+        path.write_text(json.dumps({"kind": "pure", "dims": [n], "data": data}))
+        assert path.stat().st_size < state_io.CACHE_MIN_BYTES
+        paths.append(str(path))
+    return paths
+
+
+def test_the_path_changes_at_the_entry_limit(entry_limit_files, capsys, monkeypatch):
+    at, above = entry_limit_files
+    floats = cli_report(["nearest", "--input", at], capsys, monkeypatch, numpy_path=False)
+    numpy = cli_report(["nearest", "--input", at], capsys, monkeypatch, numpy_path=True)
+    beyond = cli_report(["nearest", "--input", above], capsys, monkeypatch, numpy_path=False)
+    assert floats[3] == [list]
+    assert numpy[3] == beyond[3] == [np.ndarray]
+    assert floats[0] == numpy[0] == beyond[0] == 0
+    assert_reports_agree(floats[1], numpy[1])

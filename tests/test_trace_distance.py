@@ -318,7 +318,9 @@ def test_canonicalize_is_the_stable_sort(amplitudes):
 # nearest_incoherent sorts only the values of the moduli and rebuilds the top
 # k of the stable order. The reference is the closed form on Python floats,
 # ``pure_floats.nearest_from_moduli``: a full sort of the moduli, and the top k
-# taken by a stable sort of the indices, from the same moduli.
+# taken by a stable sort of the indices, from the same moduli. The eigenvector
+# is checked against canonicalize's full stable permutation, scattered at its
+# first k slots.
 
 
 def assert_same_as_reference(x):
@@ -328,6 +330,12 @@ def assert_same_as_reference(x):
     for name in ("k", "q_k", "mu", "c_tr"):
         assert getattr(res, name) == getattr(ref, name), name
     assert np.array_equal(res.nearest.diag, ref.nearest.diag), "weights"
+    canon = canonicalize(state)
+    top = canon.permutation[: ref.k]
+    amps = state.amplitudes
+    v = amps.copy()
+    v[top] = ref.q_k * (amps[top] / canon.moduli[: ref.k])
+    assert np.array_equal(res.eigenvector, v), "eigenvector"
 
 
 def split_tie(n: int) -> np.ndarray:
