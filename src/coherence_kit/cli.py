@@ -236,7 +236,7 @@ COMMANDS = {
         ("--max-iters", dict(
             type=_non_negative_int, default=20000, help="Newton-step budget for mixed states")),
         ("--step-scale", dict(
-            type=_step_scale, default=0.02, help="ignored; used by oracle only")),
+            type=_step_scale, default=0.02, help="ignored; read only by the benchmark's replay")),
     ]),
     "nearest": ("nearest incoherent state of a pure state", [
         ("--input", dict(required=True)),
@@ -272,11 +272,7 @@ COMMANDS = {
     ]),
     "oracle": ("brute-force trace-distance minimization", [
         ("--input", dict(required=True)),
-        ("--method", dict(choices=("subgradient", "grid"), default="subgradient")),
-        ("--max-iters", dict(type=_non_negative_int, default=20000)),
-        ("--step-scale", dict(type=_step_scale, default=0.02)),
         ("--resolution", dict(type=_positive_int, default=300)),
-        ("--tol", dict(type=_tolerance, default=1e-10)),
     ]),
 }
 

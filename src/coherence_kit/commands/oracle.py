@@ -1,4 +1,4 @@
-"""``oracle``: brute-force trace-distance minimization."""
+"""``oracle``: exhaustive trace-distance minimization over a simplex lattice."""
 
 from __future__ import annotations
 
@@ -6,17 +6,12 @@ from ..cli import EXIT_OK, _sparse
 
 
 def handle(args, inputs) -> tuple[dict | None, int]:
-    from ..oracle import c_tr_grid, c_tr_subgradient
+    from ..oracle import c_tr_grid
 
     _, state = inputs.load(args.input, "oracle", "pure", "mixed")
-    if args.method == "grid":
-        result = c_tr_grid(state, resolution=args.resolution)
-    else:
-        result = c_tr_subgradient(
-            state, max_iters=args.max_iters, step_scale=args.step_scale, tol=args.tol
-        )
+    result = c_tr_grid(state, resolution=args.resolution)
     body = {
-        "method": args.method,
+        "method": "grid",
         "approximate": True,
         "value": result.value,
         "argmin": _sparse(result.argmin.diag),

@@ -18,7 +18,9 @@ barrier path following; Nesterov & Todd 1997, Vandenberghe & Boyd, SIAM Review
 bounds the optimum below by <rho, Y> - max_j Y_jj, and g'(H), with or without
 the step's first-order correction, is such a Y once divided by a bound on its
 norm.  A state is done when its best value and best lower bound are within
-a relative gap, ``GAP_RTOL`` unless the caller asks for another.
+a relative gap, ``GAP_RTOL`` unless the caller asks for another: the gap
+``verify_mixed_optimality`` solves to at the default certificate tolerance,
+which therefore certifies a ``nearest`` found at it.
 """
 
 from __future__ import annotations
@@ -27,11 +29,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import DEFAULT_TOLERANCES
 from .core import IncoherentState, as_density_matrix
 
 # The default relative gap: a state is certified once
-# value - lower_bound <= GAP_RTOL * max(1, value).
-GAP_RTOL = 1e-9
+# value - lower_bound <= GAP_RTOL * max(1, value).  A trace distance between
+# states is at most 2, so this is an absolute gap of at most half the
+# certificate tolerance.
+GAP_RTOL = DEFAULT_TOLERANCES.certificate / 4
 # The first iterate mixes diag(rho) with this share of the uniform vector, so
 # every weight is positive; mu starts at MU_START * C_tr(diag(rho)) / n, with
 # C_tr(diag(rho)) taken as at least 1e-3 so that a diagonal rho starts at mu > 0.

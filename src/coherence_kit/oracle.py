@@ -3,8 +3,9 @@
 These deliberately share no code path with the closed-form solver: the
 subgradient oracle only ever sees the convex objective through dense
 eigendecompositions, and the grid oracle is an exhaustive lattice search.
-Both exist to validate closed-form results.  For mixed states, which have no
-closed form, ``mixed_tr`` brackets C_tr to a certified gap.
+Both exist to validate closed-form results; the ``oracle`` command runs the
+grid search.  For mixed states, which have no closed form, ``mixed_tr``
+brackets C_tr to a certified gap.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ The script writes the input state files under ``inputs/`` (fixed amplitudes
 and fixed seeds), runs each case through ``cli.main`` from this directory, and
 stores its stdout, with the timings masked, under ``reports/<name>.out``, its
 stderr, when there is any, under ``reports/<name>.err`` and its exit code in
-``cases.json``. ``tests/test_golden.py`` replays the same cases.
+``cases.json``. Any other file under ``reports/``, such as the report of a
+case taken out, is deleted. ``tests/test_golden.py`` replays the same cases.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from coherence_kit import cli
 from coherence_kit.io import write_state_file
+from coherence_kit.mixed_tr import c_tr_mixed_many
 from coherence_kit.random_states import random_mixed_state, random_pure_state
 from coherence_kit.trace_distance import nearest_incoherent
 
@@ -59,6 +61,7 @@ ERROR_INPUTS = {
     # Ten entries, so the sum in the message is numpy's pairwise one.
     "sum-off": '{"kind": "incoherent", "dims": [10], "data": [%s]}\n' % ", ".join(["0.11"] * 10),
     "two-weights": '{"kind": "incoherent", "dims": [2], "data": [0.5, 0.5]}\n',
+    "uniform-5": '{"kind": "pure", "dims": [5], "data": [1, 1, 1, 1, 1]}\n',
 }
 
 
@@ -93,6 +96,10 @@ def write_inputs() -> None:
     write_state(inputs / "mixed-qubit-skewed.json", "incoherent", np.array([0.6, 0.4]))
     write_state(inputs / "mixed-diagonal.json", "mixed", np.diag([0.7, 0.3]))
     write_state(inputs / "mixed-diagonal-itself.json", "incoherent", np.array([0.7, 0.3]))
+    rank_one = np.outer(PURE_INPUTS["qutrit"], PURE_INPUTS["qutrit"].conj())
+    write_state(inputs / "mixed-rank-one.json", "mixed", rank_one)
+    (bracket,) = c_tr_mixed_many([rank_one])
+    write_state(inputs / "mixed-rank-one-nearest.json", "incoherent", bracket.nearest.diag)
     for name, text in ERROR_INPUTS.items():
         (inputs / f"{name}.json").write_text(text)
 
@@ -113,20 +120,26 @@ def cases() -> list[dict]:
     argv = ["channel-verify", "--local-dim", "3", "--seed", "7"]
     runs.append(("channel-verify-d3-seed7", argv, True))
     # Each lattice point's trace distance is a sum of eigenvalues.
-    argv = ["oracle", "--method", "grid", "--input", "inputs/qutrit.json"]
+    argv = ["oracle", "--input", "inputs/qutrit.json"]
     runs.append(("oracle-grid-qutrit", argv, True))
     # Entropy and the mixed-state C_tr bracket are computed from eigenvalues.
     argv = ["measures", "--max-iters", "50", "--input", "inputs/mixed-3.json"]
     runs.append(("measures-mixed-3", argv, True))
     # A qubit's C_tr is 2|rho_01| = 0.6, attained at diag(rho).
     runs.append(("measures-mixed-qubit", ["measures", "--input", "inputs/mixed-qubit.json"], True))
-    # A mixed state's certificate takes its witness from an eigendecomposition
-    # of A - D: certified with margin 0, not certified (exit 2), and A - D = 0,
-    # which is singular (exit 1).
+    # The qutrit's density: degenerate for the barrier method, and its C_tr is
+    # the pure closed form's.
+    argv = ["measures", "--input", "inputs/mixed-rank-one.json"]
+    runs.append(("measures-mixed-rank-one", argv, True))
+    # A mixed state's certificate compares the candidate's distance with the
+    # bracket's lower bound: certified with margin 0, not certified (exit 2),
+    # certified where A - D = 0 is singular, and certified for the nearest that
+    # ``measures-mixed-rank-one`` reports.
     for name, state, candidate in (
         ("half", "qubit", "qubit-half"),
         ("skewed", "qubit", "qubit-skewed"),
         ("singular", "diagonal", "diagonal-itself"),
+        ("rank-one", "rank-one", "rank-one-nearest"),
     ):
         argv = ["verify", "--input", f"inputs/mixed-{state}.json",
                 "--candidate", f"inputs/mixed-{candidate}.json"]
@@ -134,9 +147,6 @@ def cases() -> list[dict]:
     # A 4 x 4 state against the default --local-dim 3: exit 1, nothing on stdout.
     argv = ["channel-verify", "--input", "inputs/schmidt-4x4.json"]
     runs.append(("channel-verify-input-dim-mismatch", argv, False))
-    # The subgradient oracle's value is a sum of eigenvalues at every step.
-    argv = ["oracle", "--method", "subgradient", "--max-iters", "50", "--input", "inputs/qutrit.json"]
-    runs.append(("oracle-subgradient-qutrit", argv, True))
     # Kind refusals: a mixed state where a pure one is taken, and a bipartite
     # state given to measures, whose message points at the entanglement command.
     runs.append(("nearest-mixed-refused", ["nearest", "--input", "inputs/mixed-3.json"], False))
@@ -161,10 +171,12 @@ def cases() -> list[dict]:
         ("nearest-without-input", ["nearest"]),
         ("random-n-0", ["random", "--n", "0"]),
         ("unknown-option", ["nearest", "--input", "inputs/qutrit.json", "--frobnicate"]),
+        ("oracle-method", ["oracle", "--input", "inputs/qutrit.json", "--method", "subgradient"]),
     ]
     table += [{"name": f"usage-{name}", "argv": argv, "lapack": False} for name, argv in usage]
     # One case per class of error on small pure input: exit 1 with the check's
-    # message, and exit 3 where the certificate cannot decide at --tol.
+    # message, and exit 3 where the certificate cannot decide at --tol. The
+    # grid oracle refuses n = 5 before it builds a matrix.
     qutrit = ["--input", "inputs/qutrit.json", "--candidate"]
     errors = [
         ("infinity-amplitude", ["nearest", "--input", "inputs/infinity-amplitude.json"]),
@@ -176,6 +188,7 @@ def cases() -> list[dict]:
         ("incoherent-input", ["verify", "--input", "inputs/basis-3.json",
                               "--candidate", "inputs/basis-3-itself.json"]),
         ("inconclusive", ["verify", *qutrit, "inputs/qutrit-nearest.json", "--tol", "0.9"]),
+        ("oracle-too-large", ["oracle", "--input", "inputs/uniform-5.json"]),
     ]
     table += [{"name": f"error-{name}", "argv": argv, "lapack": False} for name, argv in errors]
     # Argument forms beyond plain ``--flag value`` pairs, each decided by argparse:
@@ -224,14 +237,18 @@ def main() -> None:
     reports = HERE / "reports"
     reports.mkdir(exist_ok=True)
     table = cases()
+    written = set()
     for case in table:
         case["exit_code"], stdout, stderr = run_case(case["argv"])
         (reports / f"{case['name']}.out").write_text(stdout)
-        err = reports / f"{case['name']}.err"
+        written.add(f"{case['name']}.out")
         if stderr:
-            err.write_text(stderr)
-        else:
-            err.unlink(missing_ok=True)
+            (reports / f"{case['name']}.err").write_text(stderr)
+            written.add(f"{case['name']}.err")
+    # The reports of cases taken out, and the .err of a case that no longer writes one.
+    for path in reports.iterdir():
+        if path.name not in written:
+            path.unlink()
     lines = ",\n".join(json.dumps(case) for case in table)
     (HERE / "cases.json").write_text(f"[\n{lines}\n]\n")
 

@@ -29,7 +29,7 @@ PLAIN = [
     ["channel-verify", "--sigma", "s.json", "--local-dim", "4", "--terms", "2", "--seed", "3"],
     ["random", "--kind", "mixed", "--n", "5", "--count", "2"],
     ["bench", "--sizes", "10,20", "--repetitions", "1"],
-    ["oracle", "--input", "x.json", "--method", "grid", "--resolution", "10"],
+    ["oracle", "--input", "x.json", "--resolution", "10"],
 ]
 
 FLAGS = sorted({flag for name in cli.COMMANDS for flag, _ in cli._options(name)} | {"--format"})
@@ -37,7 +37,7 @@ FLAGS = sorted({flag for name in cli.COMMANDS for flag, _ in cli._options(name)}
 VALUES = [
     "0", "1", "3", "25", "0.5", "1e-9", "inf", "nan", "-1", "-0.5", "x", "", " 7 ", "1.5",
     "10,20", ",", "5,,6", "a.json", "-x", "--input", "json", "table", "l1", "tr", "rel-ent",
-    "pure", "mixed", "bipartite-pure", "grid", "subgradient", "nearest",
+    "pure", "mixed", "bipartite-pure", "nearest",
 ]
 STRAYS = ["-h", "--help", "--version", "--", "-", "stray", "--frobnicate", "--inp", "--m", "--max",
           "--form", "--in", "--local"]

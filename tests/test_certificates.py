@@ -16,7 +16,6 @@ from coherence_kit import (
     verify_mixed_optimality,
     verify_pure_optimality,
 )
-from coherence_kit.config import DEFAULT_TOLERANCES
 from coherence_kit.mixed_tr import GAP_RTOL
 from coherence_kit.random_states import random_pure_state
 from dense_reference import trace_norm
@@ -179,9 +178,16 @@ class TestMixedCertificate:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_nearest_at_the_certificate_gap_is_certified(self, family):
-        rho = density(family, 12, np.random.default_rng(46))
-        (bracket,) = c_tr_mixed_many([rho], gap=DEFAULT_TOLERANCES.certificate / 4)
-        assert verify_mixed_optimality(rho, bracket.nearest).certified
+        # At the defaults, ``measures`` and ``verify`` make the same solve, so
+        # the certificate's lower bound is the bracket's, to the bit.
+        rng = np.random.default_rng(46)
+        for n in (3, 8, 16):
+            for _ in range(4):
+                rho = density(family, n, rng)
+                (bracket,) = c_tr_mixed_many([rho])
+                cert = verify_mixed_optimality(rho, bracket.nearest)
+                assert cert.certified
+                assert cert.lower_bound == bracket.lower_bound
 
     def test_budget_out_before_the_gap_is_inconclusive(self):
         # No bracket of a coherent state closes to a gap of exactly 0.

@@ -598,25 +598,11 @@ class TestBenchAndOracle:
         values2 = [row["c_tr"] for row in second["results"]]
         assert values1 == values2
 
-    def test_oracle_subgradient(self, tmp_path, capsys):
-        path = write_pure(tmp_path / "x.json", [0.8, 0.6])
-        code, report = run_json(
-            ["oracle", "--input", path, "--method", "subgradient", "--max-iters", "2000"],
-            capsys,
-        )
-        assert code == 0
-        assert report["value"] == pytest.approx(0.96, abs=1e-3)
-        assert report["approximate"] is True
-
-    def test_zero_iterations_report_the_starting_point(self, tmp_path, capsys):
+    def test_zero_iterations_report_the_starting_point(self):
         rho = random_mixed_state(3, np.random.default_rng(131))
-        path = tmp_path / "rho.json"
-        write_state(path, "mixed", rho.matrix)
-        code, report = run_json(["oracle", "--input", str(path), "--max-iters", "0"], capsys)
-        assert code == 0
-        assert report["iterations"] == 0
-        argmin = dense_weights(report["argmin"], 3)
-        assert argmin == pytest.approx(np.real(np.diag(rho.matrix)).tolist(), abs=1e-12)
+        result = oracle.c_tr_subgradient(rho, max_iters=0)
+        assert result.iterations == 0
+        assert result.argmin.diag == pytest.approx(np.real(np.diag(rho.matrix)), abs=1e-12)
 
     def test_grid_refuses_large_n_before_densifying(self, tmp_path, capsys, monkeypatch):
         def projector(self):
@@ -624,14 +610,14 @@ class TestBenchAndOracle:
 
         monkeypatch.setattr(PureState, "projector", projector)
         path = write_pure(tmp_path / "x.json", np.ones(4000))
-        assert cli.main(["oracle", "--input", path, "--method", "grid"]) == 1
+        assert cli.main(["oracle", "--input", path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: grid oracle supports n <= 4, got n = 4000\n"
 
     def test_grid_refuses_a_lattice_beyond_the_point_limit(self, tmp_path, capsys):
         path = write_pure(tmp_path / "x.json", [2 / 3, 2 / 3, 1 / 3])
-        argv = ["oracle", "--input", path, "--method", "grid", "--resolution", "100000"]
+        argv = ["oracle", "--input", path, "--resolution", "100000"]
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -647,14 +633,14 @@ class TestBenchAndOracle:
 
         monkeypatch.setattr(oracle, "_lattice_points", first_point)
         path = write_pure(tmp_path / "x.json", [0.5, 0.5, 0.5, 0.5])
-        code, report = run_json(["oracle", "--input", path, "--method", "grid"], capsys)
+        code, report = run_json(["oracle", "--input", path], capsys)
         assert code == 0
         assert dense_weights(report["argmin"], 4).tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_oracle_grid(self, tmp_path, capsys):
         path = write_pure(tmp_path / "x.json", [2 / 3, 2 / 3, 1 / 3])
         code, report = run_json(
-            ["oracle", "--input", path, "--method", "grid", "--resolution", "300"],
+            ["oracle", "--input", path, "--resolution", "300"],
             capsys,
         )
         assert code == 0
@@ -1099,7 +1085,7 @@ class TestInputDigest:
             "verify": ["verify", "--input", x, "--candidate", str(d)],
             "measures": ["measures", "--input", x, "--input", y],
             "entanglement": ["entanglement", "--input", str(v)],
-            "oracle": ["oracle", "--input", x, "--max-iters", "50"],
+            "oracle": ["oracle", "--input", x],
             "channel-verify": [
                 "channel-verify", "--sigma", str(sigma), "--input", str(v), "--local-dim", "2",
             ],
@@ -1164,7 +1150,7 @@ class TestTimings:
             "nearest": (["nearest", "--input", x], 1),
             "verify": (["verify", "--input", x, "--candidate", str(d)], 2),
             "entanglement": (["entanglement", "--input", str(v)], 1),
-            "oracle": (["oracle", "--input", x, "--max-iters", "50"], 1),
+            "oracle": (["oracle", "--input", x], 1),
             "channel-verify": (
                 ["channel-verify", "--sigma", str(sigma), "--input", str(v), "--local-dim", "2"], 2,
             ),
@@ -1372,20 +1358,20 @@ class TestUsageErrors:
             (["verify", "--tol", "nan"], "argument --tol: expected a finite non-negative number, got 'nan'"),
             (["verify", "--tol", "-1"], "argument --tol: expected a finite non-negative number, got '-1'"),
             (["channel-verify", "--tol", "inf"], "argument --tol: expected a finite non-negative number"),
-            (["oracle", "--tol=-1e-3"], "argument --tol: expected a finite non-negative number"),
-            (["oracle", "--tol", "abc"], "argument --tol: expected a finite non-negative number"),
+            (["verify", "--tol=-1e-3"], "argument --tol: expected a finite non-negative number"),
+            (["verify", "--tol", "abc"], "argument --tol: expected a finite non-negative number"),
             (
                 ["measures", "--step-scale", "nan"],
                 "argument --step-scale: expected a finite positive number, got 'nan'",
             ),
             (["measures", "--step-scale", "inf"], "argument --step-scale: expected a finite positive number"),
-            (["oracle", "--step-scale", "-1"], "argument --step-scale: expected a finite positive number"),
-            (["oracle", "--step-scale", "0"], "argument --step-scale: expected a finite positive number"),
+            (["measures", "--step-scale", "-1"], "argument --step-scale: expected a finite positive number"),
+            (["measures", "--step-scale", "0"], "argument --step-scale: expected a finite positive number"),
             (
                 ["measures", "--max-iters", "-3"],
                 "argument --max-iters: expected a non-negative integer, got '-3'",
             ),
-            (["oracle", "--max-iters", "1.5"], "argument --max-iters: expected a non-negative integer"),
+            (["measures", "--max-iters", "1.5"], "argument --max-iters: expected a non-negative integer"),
             (["random", "--n", "2", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
             (["channel-verify", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
             (["bench", "--seed", "-1"], "argument --seed: expected a non-negative integer, got '-1'"),
@@ -1394,6 +1380,14 @@ class TestUsageErrors:
                 "argument --resolution: expected a positive integer, got '0'",
             ),
             (["bench", "--sizes", ","], "argument --sizes: expected a positive integer, got ','"),
+            # ``oracle`` takes only --input and --resolution of its own.
+            *(
+                (["oracle", "--input", "x.json", flag, value], f"unrecognized arguments: {flag} {value}")
+                for flag, value in (
+                    ("--method", "subgradient"), ("--max-iters", "5"),
+                    ("--step-scale", "0.5"), ("--tol", "1e-9"),
+                )
+            ),
         ],
     )
     def test_exit_one_without_traceback(self, argv, message):
@@ -1421,7 +1415,7 @@ class TestUsageErrors:
             ["channel-verify", "--sigma", "s.json", "--local-dim", "4", "--terms", "2", "--seed", "3"],
             ["random", "--kind", "mixed", "--n", "5", "--count", "2"],
             ["bench", "--sizes", "10,20", "--repetitions", "1"],
-            ["oracle", "--input", "x.json", "--method", "grid", "--resolution", "10"],
+            ["oracle", "--input", "x.json", "--resolution", "10"],
         ],
     )
     def test_full_parser_agrees_with_the_parser_main_builds(self, argv, capsys, monkeypatch):

@@ -44,3 +44,11 @@ def test_report_matches_golden(case):
     assert_same_report(stdout, expected, case["lapack"])
     err = GOLDEN / "reports" / f"{case['name']}.err"
     assert stderr == (err.read_text() if err.exists() else "")
+
+
+def test_every_report_belongs_to_a_case():
+    """``reports/`` holds an ``.out`` for every case and no file of a case taken out."""
+    names = {case["name"] for case in CASES}
+    files = {path.name for path in (GOLDEN / "reports").iterdir()}
+    assert {f"{name}.out" for name in names} <= files
+    assert {name.rsplit(".", 1)[0] for name in files} <= names

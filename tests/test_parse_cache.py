@@ -151,7 +151,7 @@ ARGVS = {
     "measures": ["measures", "--input", "{x}", "--input", "{rho}", "--max-iters", "50"],
     "verify": ["verify", "--input", "{x}", "--candidate", "{d}"],
     "entanglement": ["entanglement", "--input", "{v}"],
-    "oracle": ["oracle", "--input", "{rho}", "--max-iters", "50"],
+    "oracle": ["oracle", "--input", "{rho}", "--resolution", "20"],
     "channel-verify": ["channel-verify", "--sigma", "{rho}", "--input", "{v}", "--local-dim", "2"],
 }
 
