@@ -18,17 +18,19 @@ __version__ = "0.1.0"
 
 _SUBMODULE_NAMES = {
     "config": ("Tolerances", "DEFAULT_TOLERANCES"),
+    "errors": (
+        "ValidationError",
+        "DimensionMismatchError",
+        "NumericalDriftWarning",
+        "InconclusiveCertificateError",
+        "IncoherentInputError",
+    ),
     "core": (
         "PureState",
         "DensityMatrix",
         "IncoherentState",
         "BipartitePureState",
         "SpectralDecomposition",
-        "ValidationError",
-        "DimensionMismatchError",
-        "NumericalDriftWarning",
-        "InconclusiveCertificateError",
-        "IncoherentInputError",
         "as_pure_state",
         "as_density_matrix",
         "as_incoherent_state",

@@ -32,13 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .core import (
-    InconclusiveCertificateError,
-    as_density_matrix,
-    as_incoherent_state,
-    as_pure_state,
-    hermitian_eig,
-)
+from .core import as_density_matrix, as_incoherent_state, as_pure_state, hermitian_eig
+from .errors import InconclusiveCertificateError
 from .measures import _l1_from_moduli
 
 # The pure certificate's record, errors and step budget are shared with its

@@ -18,13 +18,15 @@ table ``COMMANDS``; help, version and every other form go to the argparse
 parser that ``parser.build_parser`` makes from the same table, which is
 imported only then.
 
-This module, ``io`` and ``core`` import numpy only inside the functions that
-use it, so help, version, usage errors and refusals made before a load never
-import it. Neither do ``measures``, ``nearest`` and ``verify`` on a ``pure``
-state file (and an ``incoherent`` candidate) below ``io.CACHE_MIN_BYTES`` of
-at most ``io.FLOAT_PATH_MAX_ENTRIES`` entries: ``io`` reads it as Python
-numbers and the closed forms of ``pure_floats`` run on them, since importing
-numpy would take longer than the whole computation.
+This module and ``io`` import numpy, and ``core``, only inside the
+functions that use them; the error classes come from ``errors``, which
+imports nothing. So help, version, usage errors and refusals made before a
+load import neither. Nor do ``measures``, ``nearest`` and ``verify`` on a
+``pure`` state file (and an ``incoherent`` candidate) below
+``io.CACHE_MIN_BYTES`` of at most ``io.FLOAT_PATH_MAX_ENTRIES`` entries:
+``io`` reads it as Python numbers and the closed forms of ``pure_floats``
+run on them, since importing numpy would take longer than the whole
+computation.
 
 Exit codes form a stable scripting contract: 0 success, 1 validation failure
 (a usage error included) or an input too large for the memory available, 2 a
@@ -59,7 +61,7 @@ import time
 import types
 
 from . import __version__
-from .core import InconclusiveCertificateError, ValidationError
+from .errors import InconclusiveCertificateError, ValidationError
 from .io import (
     StateFile,
     _is_ndarray,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..cli import EXIT_CERTIFICATE, EXIT_OK, _require_memory
-from ..core import ValidationError
+from ..errors import ValidationError
 
 
 def handle(args, inputs) -> tuple[dict | None, int]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..cli import EXIT_OK, MEASURE_CHOICES, _sparse
-from ..core import ValidationError
+from ..errors import ValidationError
 
 
 def _closed_forms(sf) -> tuple:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .. import io as state_io
 from ..cli import EXIT_OK, _output, _require_memory
-from ..core import ValidationError
+from ..errors import ValidationError
 
 
 def handle(args, inputs) -> tuple[dict | None, int]:

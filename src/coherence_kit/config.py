@@ -1,5 +1,8 @@
-"""Numerical tolerances used across the toolkit, collected in one record."""
+"""Numerical tolerances used across the toolkit, collected in one record, and
+the norm's underflow threshold."""
 
+import math
+import sys
 from typing import NamedTuple
 
 
@@ -25,3 +28,6 @@ class Tolerances(NamedTuple):
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+# Below this l2 norm the squares np.linalg.norm sums lose bits to underflow.
+_NORM_SAFE_MIN = math.sqrt(sys.float_info.min) * 2.0**26

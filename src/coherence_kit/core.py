@@ -4,44 +4,20 @@ Everything in this module is a pure function over immutable values.  The state
 classes validate (and, where documented, renormalize) on construction and are
 never mutated afterwards, so concurrent use needs no locking.  They compare by
 identity.
-
-numpy is imported inside the functions that use it, so a caller that needs
-only the error classes (``cli``, ``io``, ``pure_floats``) loads no numpy.
 """
 
 from __future__ import annotations
 
-import math
-import sys
 from functools import cached_property
 from typing import NamedTuple
 
-from .config import DEFAULT_TOLERANCES
+import numpy as np
 
-
-class ValidationError(ValueError):
-    """Input violates a documented precondition or construction invariant."""
-
-
-class DimensionMismatchError(ValidationError):
-    """Bipartite local dimension does not match the supplied matrix."""
-
-
-class NumericalDriftWarning(UserWarning):
-    """Eigenvalue clipping exceeded the expected floating-point drift."""
-
-
-class InconclusiveCertificateError(RuntimeError):
-    """Degenerate spectrum prevented a well-defined certificate evaluation."""
-
-
-class IncoherentInputError(ValidationError):
-    """The input state is already incoherent, so the certificate is vacuous."""
+from .config import _NORM_SAFE_MIN, DEFAULT_TOLERANCES
+from .errors import DimensionMismatchError, ValidationError
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
-    import numpy as np
-
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValidationError(f"{what} must contain only finite entries")
 
@@ -49,8 +25,6 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
 def _probability_vector(p, what: str) -> np.ndarray:
     """``p`` as a finite non-negative 1-D vector summing to one within the
     construction tolerance; entries in (-tol, 0) are clipped to zero."""
-    import numpy as np
-
     tol = DEFAULT_TOLERANCES.construction
     vec = np.atleast_1d(np.asarray(p, dtype=float))
     if vec.ndim != 1 or vec.size == 0:
@@ -65,10 +39,6 @@ def _probability_vector(p, what: str) -> np.ndarray:
     return vec
 
 
-# Below this l2 norm the squares np.linalg.norm sums lose bits to underflow.
-_NORM_SAFE_MIN = math.sqrt(sys.float_info.min) * 2.0**26
-
-
 def _unit_amplitudes(amplitudes, ndim: int, what: str) -> np.ndarray:
     """``amplitudes`` as a non-empty, finite, not all zero complex array of
     ``ndim`` dimensions (1: a vector, 2: a matrix), divided by its l2 norm.
@@ -77,8 +47,6 @@ def _unit_amplitudes(amplitudes, ndim: int, what: str) -> np.ndarray:
     are first scaled, exactly, by a power of two that brings the largest real
     or imaginary part into [0.5, 1); every other input keeps its bits.
     """
-    import numpy as np
-
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
     if amps.ndim != ndim or amps.size == 0:
         shape = "1-D vector" if ndim == 1 else "matrix"
@@ -100,8 +68,6 @@ def _unit_amplitudes(amplitudes, ndim: int, what: str) -> np.ndarray:
 def _hermitian_matrix(matrix, tol: float, what: str) -> np.ndarray:
     """``matrix`` as a complex array, non-empty, square, finite and Hermitian
     within ``tol``; a failed check names ``what``."""
-    import numpy as np
-
     m = np.asarray(matrix)
     # A real input is checked in real arithmetic, and converted once it passes.
     m = m.astype(float if m.dtype.kind == "f" else complex, copy=False)
@@ -136,8 +102,6 @@ def _cholesky_accepts(m: np.ndarray, tol: float) -> bool:
     trace-one m, ||R||_F^2 is about 1 and at tol = 1e-10 the test holds up to
     n ~ 10^5, far past d = 32 (n = 1024).  A NaN anywhere in R fails it.
     """
-    import numpy as np
-
     if np.iscomplexobj(m):
         if m.imag.any():
             return False
@@ -177,22 +141,16 @@ class PureState(_ReadOnly):
         return self.amplitudes.size
 
     def moduli(self) -> np.ndarray:
-        import numpy as np
-
         return np.abs(self.amplitudes)
 
     def projector(self) -> np.ndarray:
         """Rank-one density matrix |x><x| as a plain array."""
-        import numpy as np
-
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def density(self) -> "DensityMatrix":
         return DensityMatrix._trusted(self.projector())
 
     def __array__(self, dtype=None, copy=None):
-        import numpy as np
-
         return np.asarray(self.amplitudes, dtype=dtype)
 
 
@@ -213,8 +171,6 @@ class BipartitePureState(_ReadOnly):
 
     def projector(self) -> np.ndarray:
         """|v><v|, with |i>|j> at position i * n + j."""
-        import numpy as np
-
         k = self.amplitudes.reshape(-1)
         return np.outer(k, k.conj())
 
@@ -230,8 +186,6 @@ class DensityMatrix(_ReadOnly):
     """
 
     def __init__(self, matrix):
-        import numpy as np
-
         tols = DEFAULT_TOLERANCES
         m = _hermitian_matrix(matrix, tols.construction, "density matrix")
         trace = complex(np.trace(m))
@@ -251,16 +205,12 @@ class DensityMatrix(_ReadOnly):
     def _trusted(cls, matrix: np.ndarray) -> "DensityMatrix":
         # Constructor for matrices that are valid by construction (e.g. |x><x|);
         # skips the O(n^3) eigenvalue check.
-        import numpy as np
-
         obj = object.__new__(cls)
         object.__setattr__(obj, "matrix", np.asarray(matrix, dtype=complex))
         return obj
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        import numpy as np
-
         return np.linalg.eigvalsh(self.matrix)
 
     @property
@@ -268,13 +218,9 @@ class DensityMatrix(_ReadOnly):
         return self.matrix.shape[0]
 
     def diagonal(self) -> np.ndarray:
-        import numpy as np
-
         return np.real(np.diag(self.matrix)).copy()
 
     def __array__(self, dtype=None, copy=None):
-        import numpy as np
-
         return np.asarray(self.matrix, dtype=dtype)
 
 
@@ -287,8 +233,6 @@ class IncoherentState(_ReadOnly):
     """
 
     def __init__(self, diag):
-        import numpy as np
-
         d = _probability_vector(diag, "incoherent state")
         d = d / float(np.sum(d))
         for _ in range(2):
@@ -303,13 +247,9 @@ class IncoherentState(_ReadOnly):
         return self.diag.size
 
     def density(self) -> DensityMatrix:
-        import numpy as np
-
         return DensityMatrix._trusted(np.diag(self.diag.astype(complex)))
 
     def __array__(self, dtype=None, copy=None):
-        import numpy as np
-
         return np.asarray(self.diag, dtype=dtype)
 
 
@@ -345,16 +285,12 @@ def hermitian_eig(matrix) -> SpectralDecomposition:
         If the matrix is not a non-empty finite square matrix, Hermitian
         within the spectral tolerance; the message names the worst entry pair.
     """
-    import numpy as np
-
     w, v = np.linalg.eigh(_hermitian_matrix(matrix, DEFAULT_TOLERANCES.spectral, "matrix"))
     return SpectralDecomposition(w[::-1].copy(), v[:, ::-1].copy())
 
 
 def _require_bipartite_square(matrix, local_dim: int, what: str) -> np.ndarray:
     """``matrix`` as a complex array that acts on a d (x) d space, d = ``local_dim``."""
-    import numpy as np
-
     m = np.asarray(matrix, dtype=complex)
     d = int(local_dim)
     if d < 1 or m.shape != (d * d, d * d):
@@ -380,8 +316,6 @@ def is_ppt(matrix, local_dim: int, tol: float | None = None) -> bool:
     Cholesky factorization where it decides (``_cholesky_accepts``), else
     ``eigvalsh``.  A matrix that is not Hermitian within the spectral tolerance
     is refused, since both read only one triangle."""
-    import numpy as np
-
     if tol is None:
         tol = DEFAULT_TOLERANCES.psd_drift
     m = _hermitian_matrix(matrix, DEFAULT_TOLERANCES.spectral, "matrix")

@@ -29,13 +29,12 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES
 from .core import (
     BipartitePureState,
-    DimensionMismatchError,
     PureState,
-    ValidationError,
     _require_bipartite_square,
     as_density_matrix,
     is_ppt,
 )
+from .errors import DimensionMismatchError, ValidationError
 from .measures import _offdiag_mass, c_l1, c_rel_entropy
 
 

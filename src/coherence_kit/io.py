@@ -14,9 +14,9 @@ A ``pure`` or ``incoherent`` document below ``CACHE_MIN_BYTES`` of at most
 ``load_state_file(path, python_floats=True)`` reads it as a list of Python
 numbers, and ``to_state`` makes it a state of ``pure_floats``. Importing
 numpy costs more than the closed forms of such a state take on Python floats
-(see ``FLOAT_PATH_MAX_ENTRIES``). This module imports numpy only inside the
-functions that use it, and takes no value for a numpy array while numpy is
-not loaded (``_numpy``).
+(see ``FLOAT_PATH_MAX_ENTRIES``). This module imports numpy, and ``core``,
+only inside the functions that use them, and takes no value for a numpy
+array while numpy is not loaded (``_numpy``).
 
 A float array, or a list of numbers, of fewer than ``KERNEL_MIN_SIZE``
 elements is written by one ``%.17g`` pass over its template, laid out as
@@ -46,22 +46,16 @@ from collections.abc import Iterator
 from pathlib import Path
 from typing import NamedTuple
 
-from .core import (
-    BipartitePureState,
-    DensityMatrix,
-    IncoherentState,
-    PureState,
-    ValidationError,
-)
+from .errors import ValidationError
 
-# Each kind of state file: the state class it describes, whether its entries
-# are real, and how many ``dims`` it takes.
-_Kind = NamedTuple("_Kind", [("state", type), ("real", bool), ("ndims", int)])
+# Each kind of state file: the name of the ``core`` class it describes,
+# whether its entries are real, and how many ``dims`` it takes.
+_Kind = NamedTuple("_Kind", [("state", str), ("real", bool), ("ndims", int)])
 _KINDS = {
-    "pure": _Kind(PureState, real=False, ndims=1),
-    "mixed": _Kind(DensityMatrix, real=False, ndims=1),
-    "bipartite-pure": _Kind(BipartitePureState, real=False, ndims=2),
-    "incoherent": _Kind(IncoherentState, real=True, ndims=1),
+    "pure": _Kind("PureState", real=False, ndims=1),
+    "mixed": _Kind("DensityMatrix", real=False, ndims=1),
+    "bipartite-pure": _Kind("BipartitePureState", real=False, ndims=2),
+    "incoherent": _Kind("IncoherentState", real=True, ndims=1),
 }
 STATE_KINDS = tuple(_KINDS)
 
@@ -544,7 +538,9 @@ def to_state(sf: StateFile):
         from .pure_floats import FloatIncoherentState, FloatPureState
 
         return (FloatPureState if sf.kind == "pure" else FloatIncoherentState)(sf.data)
-    return _KINDS[sf.kind].state(sf.data)
+    from . import core
+
+    return getattr(core, _KINDS[sf.kind].state)(sf.data)
 
 
 def file_digest(path) -> str:

@@ -11,12 +11,8 @@ import warnings
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .core import (
-    NumericalDriftWarning,
-    PureState,
-    as_density_matrix,
-    as_pure_state,
-)
+from .core import PureState, as_density_matrix, as_pure_state
+from .errors import NumericalDriftWarning
 
 
 def _entropy_bits(weights: np.ndarray) -> float:

@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import IncoherentState, ValidationError, as_density_matrix
+from .core import IncoherentState, as_density_matrix
+from .errors import ValidationError
 
 STALL_WINDOW = 100
 

@@ -23,6 +23,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+class _CommandParser(_Parser):
+    """A command's parser refuses arguments it does not take itself, so the
+    error shows that command's usage, not the top level's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _argparse_type(check):
     """The value check ``check`` as an argparse type: its ValueError is a
     usage error with the same message."""
@@ -45,7 +56,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Coherence and entanglement measures with certificates and oracles",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, (summary, _) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         if command is not None and command != name:

@@ -6,7 +6,7 @@ roots and, for the certificate, a scalar secular equation, so a small input
 needs no linear algebra. ``io`` reads a ``pure`` or ``incoherent`` document
 below ``io.CACHE_MIN_BYTES`` of at most ``io.FLOAT_PATH_MAX_ENTRIES`` entries
 as Python numbers, and ``measures``, ``nearest`` and ``verify`` run on them
-here. Nothing in this module imports numpy.
+here. Nothing in this module imports numpy or ``core``.
 
 Each name is the twin of a numpy function and keeps its error text:
 
@@ -36,13 +36,8 @@ from itertools import accumulate
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .config import DEFAULT_TOLERANCES
-from .core import (
-    _NORM_SAFE_MIN,
-    IncoherentInputError,
-    InconclusiveCertificateError,
-    ValidationError,
-)
+from .config import _NORM_SAFE_MIN, DEFAULT_TOLERANCES
+from .errors import IncoherentInputError, InconclusiveCertificateError, ValidationError
 
 # Newton steps from the left of the root stay left of it and converge
 # quadratically; a step that leaves the bracket is replaced by bisection.  The

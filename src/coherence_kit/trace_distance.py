@@ -24,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import IncoherentState, ValidationError, as_pure_state
+from .core import IncoherentState, as_pure_state
+from .errors import ValidationError
 
 
 class CanonicalForm(NamedTuple):

@@ -37,6 +37,7 @@ HERE = pathlib.Path(__file__).resolve().parent
 # becomes, is one mask, so a report may gain a timing without a new corpus.
 TIMINGS = re.compile(r'"timings": \{[^{}]*\}|^timings\..*$(?:\ntimings\..*$)*', re.MULTILINE)
 
+NUMPY_PATH = "numpy-path-30001"
 PURE_INPUTS = {
     "qutrit": np.array([2 / 3, 2 / 3, 1 / 3], dtype=complex),
     "phased-qutrit": np.array([1 / 3, 2j / 3, -2 / 3]),
@@ -46,6 +47,9 @@ PURE_INPUTS = {
     "near-uniform-1000": 1 + 1e-4 * np.random.default_rng(5).standard_normal(1000),
     # Repeated moduli and zero amplitudes: the support lists original indices in order.
     "ties-and-zeros": np.array([0.4, 0, -0.4, 0.6, 0, 0.4j, 0.2, 0, -0.2j, 0.4]),
+    # One entry more than io.FLOAT_PATH_MAX_ENTRIES, in a file below
+    # io.CACHE_MIN_BYTES: read into numpy and solved there, with k = 2.
+    NUMPY_PATH: np.array([40, 30, 20, 10, 5] + [1] * 29_996, dtype=complex),
 }
 
 
@@ -85,6 +89,8 @@ def write_inputs() -> None:
     shifted[1] += 1e-3
     write_state(inputs / "qutrit-nearest.json", "incoherent", nearest)
     write_state(inputs / "qutrit-shifted.json", "incoherent", shifted)
+    nearest = nearest_incoherent(PURE_INPUTS[NUMPY_PATH]).nearest.diag
+    write_state(inputs / f"{NUMPY_PATH}-nearest.json", "incoherent", nearest)
     bell = np.eye(2, dtype=complex) / np.sqrt(2.0)
     write_state(inputs / "bell.json", "bipartite-pure", bell)
     schmidt = np.diag(np.sqrt([0.4, 0.3, 0.2, 0.1])).astype(complex)
@@ -107,13 +113,16 @@ def write_inputs() -> None:
 def cases() -> list[dict]:
     """Name, argv and whether its floats come from a LAPACK call, per case."""
     runs = []
+    # The numpy path's norm and dot products are BLAS calls, whose last digits
+    # can depend on the thread count.
     for command in ("nearest", "measures"):
         for name in PURE_INPUTS:
-            runs.append((f"{command}-{name}", [command, "--input", f"inputs/{name}.json"], False))
-    for candidate in ("nearest", "shifted"):
-        argv = ["verify", "--input", "inputs/qutrit.json",
-                "--candidate", f"inputs/qutrit-{candidate}.json"]
-        runs.append((f"verify-qutrit-{candidate}", argv, False))
+            argv = [command, "--input", f"inputs/{name}.json"]
+            runs.append((f"{command}-{name}", argv, name == NUMPY_PATH))
+    for name, candidate in (("qutrit", "nearest"), ("qutrit", "shifted"), (NUMPY_PATH, "nearest")):
+        argv = ["verify", "--input", f"inputs/{name}.json",
+                "--candidate", f"inputs/{name}-{candidate}.json"]
+        runs.append((f"verify-{name}-{candidate}", argv, name == NUMPY_PATH))
     # Every float of the entanglement report derives from an SVD.
     runs.append(("entanglement-bell", ["entanglement", "--input", "inputs/bell.json"], True))
     # The fixed-point distance is a sum of eigenvalues.

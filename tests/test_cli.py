@@ -1394,7 +1394,8 @@ class TestUsageErrors:
         result = run_process(argv)
         assert result.returncode == 1
         assert result.stdout == ""
-        assert result.stderr.startswith("usage: coherence-kit")
+        # The usage shown is the command's, an unrecognized argument's included.
+        assert result.stderr.startswith(f"usage: coherence-kit {argv[0]} ")
         assert message in result.stderr
         assert "Traceback" not in result.stderr
 

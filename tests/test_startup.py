@@ -124,10 +124,10 @@ class TestPackageImport:
         assert io.__name__ == "coherence_kit.io" and oracle.__name__ == "coherence_kit.oracle"
 
     def test_moved_classes_are_reexported_where_they_were(self):
-        from coherence_kit import certificates, core, entanglement
+        from coherence_kit import certificates, core, entanglement, errors
 
         assert entanglement.BipartitePureState is core.BipartitePureState
-        assert certificates.InconclusiveCertificateError is core.InconclusiveCertificateError
+        assert certificates.InconclusiveCertificateError is errors.InconclusiveCertificateError
 
 
 class TestCliImports:
@@ -271,8 +271,8 @@ GOLDEN_INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
 class TestNumpyOnlyWhereUsed:
     """Help, version, usage errors, refusals made before a load, and
     ``measures``, ``nearest`` and ``verify`` on a pure file below
-    CACHE_MIN_BYTES, their errors included, never import numpy; a pure file
-    above it and a mixed file do."""
+    CACHE_MIN_BYTES, their errors included, never import numpy or ``core``;
+    a pure file above it and a mixed file do."""
 
     def test_calls_that_do_not_import_numpy(self, pure_files, tmp_path):
         x, d = pure_files
@@ -296,7 +296,7 @@ class TestNumpyOnlyWhereUsed:
         ]
         for argv, code in calls:
             modules = cli_call(*argv, code=code)["modules"]
-            assert "numpy" not in modules, argv
+            assert not loaded(modules, "numpy", "coherence_kit.core"), argv
 
     def test_large_pure_and_mixed_files_import_numpy(self, pure_files, big_pure_file, other_files):
         rho, _ = other_files
