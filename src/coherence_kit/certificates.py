@@ -87,7 +87,7 @@ def _secular_root(weights: np.ndarray, d: np.ndarray, lo: float, hi: float) -> f
             hi = lam
         else:
             return lam
-        step = lam + g / float(terms @ inv)
+        step = lam + g / float(np.sum(terms * inv))
         if not lo < step < hi:
             step = 0.5 * (lo + hi)
         if abs(step - lam) <= 4.0 * np.finfo(float).eps * step:
@@ -122,13 +122,13 @@ def verify_pure_optimality(x, delta, tol: float | None = None) -> PureCertificat
     weights = _coherent_moduli_or_raise(state) ** 2
     d = _candidate_diagonal(delta, state.dim)
 
-    lo = max(0.0, float(np.max(weights - d)), 1.0 - float(d @ weights))
+    lo = max(0.0, float(np.max(weights - d)), 1.0 - float(np.sum(d * weights)))
     lam = _secular_root(weights, d, lo, 1.0)
     if lam <= tol:
         raise _inconclusive_error(lam, tol)
     v_sq = weights / (lam + d) ** 2
     v_sq /= float(np.sum(v_sq))
-    margin = float(d @ v_sq - v_sq.max())
+    margin = float(np.sum(d * v_sq) - v_sq.max())
     return PureCertificate(optimal=margin >= -tol, margin=margin)
 
 

@@ -13,7 +13,12 @@ def _closed_forms(sf) -> tuple:
         from ..pure_floats import c_l1, c_rel_entropy, c_robustness_pure, nearest_incoherent
     else:
         from ..measures import c_l1, c_rel_entropy, c_robustness_pure
-        from ..trace_distance import nearest_incoherent
+
+        def nearest_incoherent(state):
+            # Imported at the first pure `tr`: a call on mixed states only never needs it.
+            from ..trace_distance import nearest_incoherent
+
+            return nearest_incoherent(state)
     return c_l1, c_rel_entropy, c_robustness_pure, nearest_incoherent
 
 

@@ -29,5 +29,5 @@ class Tolerances(NamedTuple):
 
 DEFAULT_TOLERANCES = Tolerances()
 
-# Below this l2 norm the squares np.linalg.norm sums lose bits to underflow.
+# Below this l2 norm the squares that core._unit_amplitudes sums lose bits to underflow.
 _NORM_SAFE_MIN = math.sqrt(sys.float_info.min) * 2.0**26

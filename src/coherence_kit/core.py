@@ -42,6 +42,8 @@ def _probability_vector(p, what: str) -> np.ndarray:
 def _unit_amplitudes(amplitudes, ndim: int, what: str) -> np.ndarray:
     """``amplitudes`` as a non-empty, finite, not all zero complex array of
     ``ndim`` dimensions (1: a vector, 2: a matrix), divided by its l2 norm.
+    The norm is the square root of ``np.sum`` of the squared real and imaginary
+    parts, a pairwise sum whose bits no BLAS thread count changes.
 
     Where the squares of the entries would under- or overflow, the entries
     are first scaled, exactly, by a power of two that brings the largest real
@@ -52,17 +54,17 @@ def _unit_amplitudes(amplitudes, ndim: int, what: str) -> np.ndarray:
         shape = "1-D vector" if ndim == 1 else "matrix"
         raise ValidationError(f"{what} amplitudes must form a non-empty {shape}")
     _require_finite(amps, f"{what} amplitudes")
+    parts = np.ascontiguousarray(amps).view(float)
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(amps))
+        norm = float(np.sqrt(np.sum(parts * parts)))
     if not _NORM_SAFE_MIN <= norm < np.inf:
         # Scaled as float pairs: dividing a complex array by a subnormal real gives NaN.
-        parts = np.ascontiguousarray(amps).view(float)
         _, exponent = np.frexp(np.abs(parts).max())
-        amps = np.ldexp(parts, -exponent).view(complex)
-        norm = float(np.linalg.norm(amps))
+        parts = np.ldexp(parts, -exponent)
+        norm = float(np.sqrt(np.sum(parts * parts)))
     if norm <= 0.0:
         raise ValidationError(f"{what} amplitudes must not all be zero")
-    return amps / norm
+    return parts.view(complex) / norm
 
 
 def _hermitian_matrix(matrix, tol: float, what: str) -> np.ndarray:

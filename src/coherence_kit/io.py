@@ -63,11 +63,12 @@ STATE_KINDS = tuple(_KINDS)
 _QUOTE_LIMIT = 100
 
 # Arrays of at least this many elements are formatted by the ``floatfmt``
-# kernel; a smaller one by one ``%`` pass. The pass takes about 0.32 us per
-# element, the kernel about 40 us per array plus 0.08 us per element: at 128
-# elements the pass still takes 41 us against 51 us, at 256 it takes 82 us
-# against 60 us (warm, in process).
-KERNEL_MIN_SIZE = 128
+# kernel; a smaller one by one ``%`` pass. In a fresh CLI process the kernel
+# first pays its import. Without a bytecode cache, the first array of 14,000
+# floats took 6.9 ms by the pass and 7.2 ms by the kernel, one of 16,000 8.2
+# against 7.7 ms; with one, the two cross near 8,000 floats (medians of 15
+# children each, 2-core x86-64 host).
+KERNEL_MIN_SIZE = 15_000
 
 # Documents of at least this size go through the parse cache. A smaller one
 # parses in milliseconds (6 ms at 240 KB), so it is not worth an entry.

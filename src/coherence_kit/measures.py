@@ -17,7 +17,7 @@ from .errors import NumericalDriftWarning
 
 def _entropy_bits(weights: np.ndarray) -> float:
     w = weights[weights > 0.0]
-    return float(-(w @ np.log2(w)))
+    return float(-np.sum(w * np.log2(w)))
 
 
 def _l1_from_moduli(moduli: np.ndarray) -> float:
@@ -31,7 +31,7 @@ def _l1_from_moduli(moduli: np.ndarray) -> float:
     i = int(np.argmax(moduli))
     rest = np.delete(moduli, i)
     r = float(np.sum(rest))
-    return 2.0 * float(moduli[i]) * r + (r * r - float(rest @ rest))
+    return 2.0 * float(moduli[i]) * r + (r * r - float(np.sum(rest * rest)))
 
 
 def _offdiag_mass(matrix: np.ndarray) -> float:

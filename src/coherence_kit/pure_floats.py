@@ -20,10 +20,10 @@ One arithmetic: where numpy adds in order (``np.cumsum``) or works
 elementwise, this module does the same operations in the same order, and
 ``_np_sum`` adds exactly as ``np.sum`` does. So from the same moduli, k, the
 support, q_k, mu, c_tr and the nearest weights come out with the same bits.
-The rest may differ by a few ulps: the norm (a BLAS dot product in numpy,
+The rest may differ by a few ulps: the norm (numpy's pairwise sum of squares,
 ``math.hypot`` here), the moduli (numpy's SIMD ``abs``, libm's ``hypot``
-here), the other dot products (``math.fsum`` here) and ``log2``. Near a basis
-state or the uniform state the cancelling closed form (ROADMAP item 3)
+here), the other sums of products (``math.fsum`` here) and ``log2``. Near a
+basis state or the uniform state the cancelling closed form (ROADMAP item 3)
 amplifies a difference in the moduli, as it amplifies their rounding.
 """
 

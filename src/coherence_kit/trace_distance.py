@@ -103,7 +103,7 @@ def _sorted_unit_moduli(moduli) -> np.ndarray:
         raise ValidationError("moduli must be non-negative")
     if np.any(np.diff(x) > 0.0):
         raise ValidationError("moduli must be sorted in descending order")
-    if abs(float(x @ x) - 1.0) > 1e-9:
+    if abs(float(np.sum(x * x)) - 1.0) > 1e-9:
         raise ValidationError("moduli must have unit l2 norm")
     return x
 
@@ -204,8 +204,8 @@ def breakpoint_shortcuts(moduli) -> ShortcutFlags:
     x = _sorted_unit_moduli(moduli)
     if x.size < 2:
         raise ValidationError("shortcut tests need dimension >= 2")
-    m1 = float(x[1:] @ x[1:])
-    m2 = float(x[2:] @ x[2:])
+    m1 = float(np.sum(x[1:] * x[1:]))
+    m2 = float(np.sum(x[2:] * x[2:]))
     s_n = float(np.sum(x))
     n = x.size
     rank_one = x[0] * m2 >= 2.0 * x[1] * m1

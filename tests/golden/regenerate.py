@@ -113,16 +113,14 @@ def write_inputs() -> None:
 def cases() -> list[dict]:
     """Name, argv and whether its floats come from a LAPACK call, per case."""
     runs = []
-    # The numpy path's norm and dot products are BLAS calls, whose last digits
-    # can depend on the thread count.
     for command in ("nearest", "measures"):
         for name in PURE_INPUTS:
             argv = [command, "--input", f"inputs/{name}.json"]
-            runs.append((f"{command}-{name}", argv, name == NUMPY_PATH))
+            runs.append((f"{command}-{name}", argv, False))
     for name, candidate in (("qutrit", "nearest"), ("qutrit", "shifted"), (NUMPY_PATH, "nearest")):
         argv = ["verify", "--input", f"inputs/{name}.json",
                 "--candidate", f"inputs/{name}-{candidate}.json"]
-        runs.append((f"verify-{name}-{candidate}", argv, name == NUMPY_PATH))
+        runs.append((f"verify-{name}-{candidate}", argv, False))
     # Every float of the entanglement report derives from an SVD.
     runs.append(("entanglement-bell", ["entanglement", "--input", "inputs/bell.json"], True))
     # The fixed-point distance is a sum of eigenvalues.

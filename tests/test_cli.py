@@ -788,6 +788,49 @@ class TestLargePureState:
         assert report["certificate"]["optimal"] is False
 
 
+class TestBlasThreadCount:
+    """Pure-state files and reports are the same bytes at any BLAS thread count.
+
+    At n = 10^5 OpenBLAS splits a dot product across threads, which changes
+    its last digits; the pure-state arithmetic sums with ``np.sum`` instead.
+    """
+
+    @staticmethod
+    def outputs(root: pathlib.Path, threads: str) -> list:
+        """The ``random`` file and the timing-masked ``nearest``, ``measures``
+        and ``verify`` reports on it, from children run in ``root``."""
+        root.mkdir()
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parents[1]),
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            XDG_CACHE_HOME=str(root / "cache"),
+        )
+
+        def run(*argv: str) -> str:
+            done = subprocess.run(
+                [sys.executable, "-m", "coherence_kit.cli", *argv],
+                capture_output=True, text=True, env=env, cwd=root, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            return done.stdout
+
+        run("random", "--kind", "pure", "--n", "100000", "--seed", "3", "--output", "x.json")
+        nearest = run("nearest", "--input", "x.json")
+        weights = dense_weights(json.loads(nearest)["nearest"], 100_000)
+        write_state(root / "d.json", "incoherent", weights)
+        reports = [nearest, run("measures", "--input", "x.json"),
+                   run("verify", "--input", "x.json", "--candidate", "d.json")]
+        masked = [re.sub(r'"timings": \{[^{}]*\}', "<timings>", report) for report in reports]
+        return [(root / "x.json").read_bytes(), *masked]
+
+    def test_pure_outputs_at_one_and_two_threads(self, tmp_path):
+        one, two = (self.outputs(tmp_path / threads, threads) for threads in ("1", "2"))
+        for name, a, b in zip(("random", "nearest", "measures", "verify"), one, two):
+            assert a == b, name
+
+
 class TestResourceErrors:
     """Dense sizes set by a flag are checked against physical memory before
     anything is sampled; MemoryError may never come on an overcommitting host."""

@@ -189,7 +189,7 @@ class TestDispatch:
         return calls
 
     def test_dense_and_mostly_zero_arrays_go_to_the_kernel(self, kernel_calls):
-        values = amplitudes((SIZE, 2))
+        values = amplitudes((KERNEL_MIN_SIZE, 2))
         assert render_json({"data": values}, 2) == '{\n  "data": ' + reference(values, 2, 1) + "\n}"
         sparse = np.zeros(10**5)
         sparse[[3, 500, 77_777]] = [0.5, -0.25, 0.25]
@@ -197,19 +197,19 @@ class TestDispatch:
         for indent, level in ((0, 0), (2, 1)):
             assert "".join(format_finite(sparse, indent, level)) == reference(sparse, indent, level)
         float64 = np.dtype(np.float64)
-        assert kernel_calls == [((SIZE, 2), float64)] + [((10**5,), float64)] * 2
+        assert kernel_calls == [((KERNEL_MIN_SIZE, 2), float64)] + [((10**5,), float64)] * 2
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float16])
     def test_float32_and_float16_arrays_go_to_the_kernel(self, kernel_calls, dtype):
         special = special_values()
         special = special[np.abs(special) <= np.finfo(dtype).max]
-        values = np.resize(special, (SIZE, 2)).astype(dtype)
+        values = np.resize(special, (KERNEL_MIN_SIZE, 2)).astype(dtype)
         assert "".join(format_finite(values, 2, 1)) == reference(values, 2, 1)
         assert kernel_calls == [(values.shape, np.dtype(dtype))]
 
     def test_int_and_longdouble_arrays_go_to_the_kernel(self, kernel_calls):
-        ints = np.arange(-SIZE, SIZE).reshape(-1, 2) * 10**12
-        longdouble = np.resize(special_values(), SIZE).astype(np.longdouble) / 3
+        ints = np.arange(-KERNEL_MIN_SIZE, KERNEL_MIN_SIZE).reshape(-1, 2) * 10**12
+        longdouble = np.resize(special_values(), KERNEL_MIN_SIZE).astype(np.longdouble) / 3
         assert "".join(format_finite(ints, 2)) == reference(ints, 2)
         assert "".join(format_finite(longdouble)) == reference(longdouble)
         float64 = np.dtype(np.float64)
@@ -230,12 +230,18 @@ class TestDispatch:
     @pytest.mark.parametrize("indent, level", [(0, 0), (2, 1), (4, 3)])
     @pytest.mark.parametrize(
         "shape, kernel",
-        [((127,), False), ((128,), True), ((127, 1), False), ((64, 2), True), ((1, 1, 127), False)],
+        [
+            ((14_999,), False),
+            ((15_000,), True),
+            ((14_999, 1), False),
+            ((7_500, 2), True),
+            ((1, 1, 14_999), False),
+        ],
     )
     def test_arrays_either_side_of_the_threshold(
         self, kernel_calls, shape, kernel, indent, level, dtype
     ):
-        assert KERNEL_MIN_SIZE == 128
+        assert KERNEL_MIN_SIZE == 15_000
         special = special_values()
         special = special[np.abs(special) <= np.finfo(dtype).max]
         values = np.resize(special, shape).astype(dtype)

@@ -184,7 +184,7 @@ class TestCliImports:
             assert not loaded(modules, "coherence_kit.mixed_tr", "coherence_kit.oracle"), argv
         modules = cli_call("measures", "--input", other_files[0], "--max-iters", "5")["modules"]
         assert "coherence_kit.mixed_tr" in modules
-        assert "coherence_kit.oracle" not in modules
+        assert not loaded(modules, "coherence_kit.oracle", "coherence_kit.trace_distance")
 
     def test_mixed_verify_loads_the_mixed_state_solver_and_not_the_oracle(
         self, other_files, tmp_path
@@ -200,9 +200,9 @@ class TestCliImports:
         self, pure_files, tmp_path
     ):
         # The kernel module is compiled in every process that imports it; an
-        # array of fewer than KERNEL_MIN_SIZE (128) elements does without it,
-        # and so does a list of any length while numpy is not loaded.
-        assert state_io.KERNEL_MIN_SIZE == 128
+        # array of fewer than KERNEL_MIN_SIZE (15,000) elements does without
+        # it, and so does a list of any length while numpy is not loaded.
+        assert state_io.KERNEL_MIN_SIZE == 15_000
         x, d = pure_files
         uniform = tmp_path / "uniform-128.json"
         write_state(uniform, "pure", np.ones(128, dtype=complex) / np.sqrt(128))
@@ -212,20 +212,18 @@ class TestCliImports:
             ["verify", "--input", x, "--candidate", d],
             ["nearest", "--input", x],
             ["measures", "--input", x],
-            # 63 amplitudes are 126 numbers: [re, im] pairs.
-            ["random", "--n", "63", "--output", str(tmp_path / "x.json")],
+            # 7,499 amplitudes are 14,998 numbers: [re, im] pairs.
+            ["random", "--n", "7499", "--output", str(tmp_path / "x.json")],
             # The uniform state's nearest weights are a list of 128 Python floats.
             ["nearest", "--input", str(uniform)],
             ["nearest", "--input", str(uniform), "--format", "table"],
             ["measures", "--input", str(uniform)],
-        ):
-            assert "coherence_kit.floatfmt" not in cli_call(*argv)["modules"], argv
-        for argv in (
             # 128 Schmidt coefficients, an array.
             ["entanglement", "--input", str(schmidt)],
-            ["random", "--n", "64", "--output", str(tmp_path / "x.json")],
         ):
-            assert "coherence_kit.floatfmt" in cli_call(*argv)["modules"], argv
+            assert "coherence_kit.floatfmt" not in cli_call(*argv)["modules"], argv
+        argv = ["random", "--n", "7500", "--output", str(tmp_path / "x.json")]
+        assert "coherence_kit.floatfmt" in cli_call(*argv)["modules"]
 
     def test_benchmarked_calls_generate_no_dataclass_code(self, pure_files, other_files, tmp_path):
         # ``dataclasses`` generates and compiles the methods of every class it
